@@ -59,6 +59,14 @@ let read_key path =
   close_in ic;
   key_of_string line
 
+(* Every command that applies a key file checks its width up front. *)
+let check_key_width key circuit =
+  if Array.length key <> Circuit.num_keys circuit then begin
+    Printf.eprintf "key has %d bits, circuit expects %d\n" (Array.length key)
+      (Circuit.num_keys circuit);
+    exit 1
+  end
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -199,11 +207,7 @@ let activate_cmd =
   let run input key_path out sweep =
     let c = read_circuit input in
     let key = read_key key_path in
-    if Array.length key <> Circuit.num_keys c then begin
-      Printf.eprintf "key has %d bits, circuit expects %d\n" (Array.length key)
-        (Circuit.num_keys c);
-      exit 1
-    end;
+    check_key_width key c;
     let activated = Fl_netlist.Opt.hardwire_keys c key in
     let final =
       if sweep then begin
@@ -241,7 +245,10 @@ let equiv_cmd =
     let b = read_circuit b_path in
     let keys_a =
       match keys_a_path with
-      | Some p -> read_key p
+      | Some p ->
+        let key = read_key p in
+        check_key_width key a;
+        key
       | None -> [||]
     in
     match Fl_sat.Equiv.check ~keys_a a b with
@@ -271,11 +278,7 @@ let read_optional_key path_opt circuit =
   match path_opt with
   | Some p ->
     let key = read_key p in
-    if Array.length key <> Circuit.num_keys circuit then begin
-      Printf.eprintf "key has %d bits, circuit expects %d\n" (Array.length key)
-        (Circuit.num_keys circuit);
-      exit 1
-    end;
+    check_key_width key circuit;
     key
   | None ->
     if Circuit.num_keys circuit > 0 then begin
@@ -344,6 +347,7 @@ let verify_cmd =
   let run locked_path oracle_path key_path =
     let key = read_key key_path in
     let l = bundle ~locked_path ~oracle_path ~key in
+    check_key_width key l.Locked.locked;
     if Locked.verify l then print_endline "key is functionally correct"
     else begin
       print_endline "key is WRONG";
@@ -361,20 +365,13 @@ let verify_cmd =
 
 let attack_cmd =
   let run kind locked_path oracle_path timeout key_out trace stats inp_on
-      inp_off inp_every pf_jobs pf_det seed cube_depth cdcl_var_decay
-      cdcl_restart_base cdcl_phase cdcl_random_freq =
+      inp_off inp_every =
     (match trace with None -> () | Some file -> Fl_cli.install_trace file);
     (* Same validation (and exit-2 behaviour) as the getopt-style
        binaries: --inprocess/--no-inprocess are mutually exclusive. *)
     let inp = Fl_cli.check_inprocess ~on:inp_on ~off:inp_off ~every:inp_every in
     let inprocess = inp.Fl_cli.enabled in
     let inprocess_every = inp.Fl_cli.every in
-    let portfolio =
-      Fl_cli.check_solver ?portfolio:pf_jobs ~det:pf_det ?seed ?cube_depth
-        ?var_decay:cdcl_var_decay ?restart_base:cdcl_restart_base
-        ?phase:(Option.map Fl_cli.parse_phase cdcl_phase)
-        ?random_freq:cdcl_random_freq ()
-    in
     if stats then begin
       (* Deep telemetry so the snapshot includes the cdcl.* histograms. *)
       Fl_obs.set_deep true;
@@ -397,10 +394,10 @@ let attack_cmd =
        let result =
          if kind = "sat" then
            Fl_attacks.Sat_attack.run ~timeout ~progress ?inprocess
-             ?inprocess_every ?portfolio l
+             ?inprocess_every l
          else
            Fl_attacks.Cycsat.run ~timeout ~progress ?inprocess
-             ?inprocess_every ?portfolio l
+             ?inprocess_every l
        in
        prerr_newline ();
        Format.printf "%a@." Fl_attacks.Sat_attack.pp_result result;
@@ -468,50 +465,10 @@ let attack_cmd =
     Arg.(value & opt (some int) None & info [ "inprocess-every" ] ~docv:"N"
            ~doc:"Inprocessing period in DIP iterations (default 8).")
   in
-  let pf_jobs =
-    Arg.(value & opt (some int) None & info [ "portfolio" ] ~docv:"N"
-           ~doc:"Front the miter solver with a portfolio of $(docv) diverse \
-                 CDCL members raced across domains; the first decisive \
-                 member wins and the losers are cancelled (SAT/CycSAT \
-                 attacks only).")
-  in
-  let pf_det =
-    Arg.(value & flag & info [ "portfolio-det" ]
-           ~doc:"Deterministic portfolio: one member (picked by --seed), \
-                 no domains — bit-for-bit reproducible.")
-  in
-  let seed =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-           ~doc:"Solver seed: diversifies portfolio members and picks the \
-                 deterministic member.")
-  in
-  let cube_depth =
-    Arg.(value & opt (some int) None & info [ "cube-depth" ] ~docv:"D"
-           ~doc:"Cube-and-conquer: split each miter solve into 2^$(docv) \
-                 cubes over the highest-fanout key variables.")
-  in
-  let cdcl_var_decay =
-    Arg.(value & opt (some float) None & info [ "cdcl-var-decay" ] ~docv:"F"
-           ~doc:"VSIDS activity decay in (0,1), default 0.95.")
-  in
-  let cdcl_restart_base =
-    Arg.(value & opt (some int) None & info [ "cdcl-restart-base" ] ~docv:"N"
-           ~doc:"Luby restart unit in conflicts, default 64.")
-  in
-  let cdcl_phase =
-    Arg.(value & opt (some string) None & info [ "cdcl-phase" ] ~docv:"P"
-           ~doc:"Saved-phase default: false, true or random.")
-  in
-  let cdcl_random_freq =
-    Arg.(value & opt (some float) None & info [ "cdcl-random-freq" ] ~docv:"F"
-           ~doc:"Fraction of random decisions in [0,1], default 0.")
-  in
   Cmd.v
     (Cmd.info "attack" ~doc:"Attack a locked netlist with oracle access")
     Term.(const run $ kind $ locked $ oracle $ timeout $ key_out $ trace
-          $ stats $ inp_on $ inp_off $ inp_every $ pf_jobs $ pf_det $ seed
-          $ cube_depth $ cdcl_var_decay $ cdcl_restart_base $ cdcl_phase
-          $ cdcl_random_freq)
+          $ stats $ inp_on $ inp_off $ inp_every)
 
 (* ---------- serve / client ---------- *)
 

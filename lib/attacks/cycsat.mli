@@ -37,6 +37,5 @@ val run :
   ?inprocess:bool ->
   ?inprocess_every:int ->
   ?inprocess_min_conflicts:int ->
-  ?portfolio:Fl_sat.Portfolio.spec ->
   Fl_locking.Locked.t ->
   Sat_attack.result

@@ -51,9 +51,7 @@ type progress = int -> float -> unit
     session from a prepared {!Session.Base} snapshot (see there): the
     miter and its preprocessing are reused instead of rebuilt, and
     [extra_key_constraint] / [preprocess] are superseded by what the base
-    captured.  [portfolio] fronts the miter solver with a
-    {!Fl_sat.Portfolio} backend (racing / cube-and-conquer / deterministic
-    — see {!Session.create}). *)
+    captured. *)
 val run :
   ?base:Session.Base.t ->
   ?timeout:float ->
@@ -66,7 +64,6 @@ val run :
   ?inprocess:bool ->
   ?inprocess_every:int ->
   ?inprocess_min_conflicts:int ->
-  ?portfolio:Fl_sat.Portfolio.spec ->
   Fl_locking.Locked.t ->
   result
 

@@ -4,8 +4,6 @@ module Formula = Fl_cnf.Formula
 module Tseytin = Fl_cnf.Tseytin
 module Miter = Fl_cnf.Miter
 module Cdcl = Fl_sat.Cdcl
-module Solver_intf = Fl_sat.Solver_intf
-module Portfolio = Fl_sat.Portfolio
 module Preprocess = Fl_sat.Preprocess
 module Inprocess = Fl_sat.Inprocess
 module Locked = Fl_locking.Locked
@@ -20,53 +18,22 @@ let c_base_reused = Fl_obs.Counter.make "session.base.reused"
 
 (* A formula paired with an incremental solver: [sync] feeds the solver only
    the clauses appended since the last call, so the DIP loop stays linear in
-   the number of iterations instead of rebuilding quadratically.  The solver
-   backend is existentially packed ({!Solver_intf.S}), so a session can run
-   on any backend while the attack loops stay first-order code. *)
-type 's tracked_s = {
-  solver : 's;
-  backend : (module Solver_intf.S with type t = 's);
+   the number of iterations instead of rebuilding quadratically. *)
+type tracked = {
+  solver : Cdcl.t;
   formula : Formula.t;
   mutable loaded : int;  (* clauses already in the solver *)
 }
 
-type tracked = Tracked : 's tracked_s -> tracked
+let tracked_of formula = { solver = Cdcl.create (); formula; loaded = 0 }
 
-let tracked_of (backend : (module Solver_intf.S)) formula =
-  let (module B) = backend in
-  Tracked
-    {
-      solver = B.create ();
-      backend = (module B : Solver_intf.S with type t = B.t);
-      formula;
-      loaded = 0;
-    }
-
-let sync = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.ensure_vars tr.solver (Formula.num_vars tr.formula);
-    let clauses = Formula.clauses tr.formula in
-    for i = tr.loaded to Array.length clauses - 1 do
-      B.add_clause_a tr.solver clauses.(i)
-    done;
-    tr.loaded <- Array.length clauses
-
-let tracked_stats = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.stats tr.solver
-
-let tracked_solve t ~budget =
-  match t with
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.solve ~budget tr.solver
-
-let tracked_model = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.model tr.solver
+let sync tr =
+  Cdcl.ensure_vars tr.solver (Formula.num_vars tr.formula);
+  let clauses = Formula.clauses tr.formula in
+  for i = tr.loaded to Array.length clauses - 1 do
+    Cdcl.add_clause_a tr.solver clauses.(i)
+  done;
+  tr.loaded <- Array.length clauses
 
 type t = {
   locked : Locked.t;
@@ -77,12 +44,6 @@ type t = {
   mutable miter_tracked : tracked;
   key_tracked : tracked;
   key_vars : int array;
-  backend : (module Solver_intf.S);
-  miter_backend : (module Solver_intf.S);
-      (* what the miter solver is rebuilt from after inprocessing: the
-         portfolio backend when one was requested, [backend] otherwise
-         (the key solver always runs on the plain backend — its solves
-         are many and cheap, so racing them would only burn domains) *)
   (* Between-iterations inprocessing: period in DIP iterations (None =
      disabled), the iteration count at the last run, the composed
      model-reconstruction chain (reduced-formula model -> original-miter
@@ -140,16 +101,14 @@ let stats_fields (d : Cdcl.stats) =
    before the iteration record lands. *)
 let progress_conflict_period = 2048
 
-let arm_progress label role = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.set_progress tr.solver ~every:progress_conflict_period (fun delta ->
-        if Fl_obs.enabled () then
-          Fl_obs.emit "cdcl.progress"
-            ~fields:
-              (("attack", Fl_obs.String label)
-               :: ("solver", Fl_obs.String role)
-               :: stats_fields delta))
+let arm_progress label role tr =
+  Cdcl.set_progress tr.solver ~every:progress_conflict_period (fun delta ->
+      if Fl_obs.enabled () then
+        Fl_obs.emit "cdcl.progress"
+          ~fields:
+            (("attack", Fl_obs.String label)
+             :: ("solver", Fl_obs.String role)
+             :: stats_fields delta))
 
 (* The preprocessing frozen set: every variable later clauses may mention.
    DIP constraints instantiate fresh circuit copies (fresh variables only)
@@ -211,46 +170,9 @@ module Base = struct
   let preprocess_stats b = Option.map Preprocess.stats b.b_pre
 end
 
-(* Cube-variable ranking for the portfolio's cube-and-conquer mode: key
-   inputs ordered by the size of their transitive fanout cone (BFS over
-   the view's fanout lists — the keys whose influence reaches the most
-   downstream logic split the search space most evenly), mapped to their
-   CNF variables in the miter's A key copy. *)
-let ranked_key_vars view circuit (miter : Miter.t) =
-  let fanouts = View.fanouts view in
-  let n = Array.length fanouts in
-  let reach_of node =
-    let seen = Array.make n false in
-    let q = Queue.create () in
-    seen.(node) <- true;
-    Queue.add node q;
-    let count = ref 0 in
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      Array.iter
-        (fun w ->
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            incr count;
-            Queue.add w q
-          end)
-        fanouts.(u)
-    done;
-    !count
-  in
-  let ranked =
-    Array.mapi (fun i node -> i, reach_of node) circuit.Circuit.keys
-  in
-  Array.sort
-    (fun (ia, ra) (ib, rb) ->
-      match compare rb ra with 0 -> compare ia ib | c -> c)
-    ranked;
-  Array.map (fun (i, _) -> miter.Miter.keys_a.(i)) ranked
-
 let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
     ?(preprocess = true) ?(inprocess = false) ?(inprocess_every = 8)
-    ?(inprocess_min_conflicts = 2048) ?(backend = Solver_intf.cdcl) ?portfolio
-    ~deadline locked =
+    ?(inprocess_min_conflicts = 2048) ~deadline locked =
   let circuit = locked.Locked.locked in
   (* With a prepared base, the miter (extra constraint included) and the
      preprocessing verdict come from the snapshot; the session's private
@@ -306,24 +228,8 @@ let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
    | Some add -> add key_formula key_vars
    | None -> ());
   let view = View.of_circuit circuit in
-  (* The portfolio (when requested) fronts the miter solver only; an
-     empty cube_vars is filled with the fanout-ranked key variables so
-     cube-and-conquer splits where the paper's CLN reconverges most. *)
-  let miter_backend =
-    match portfolio with
-    | None -> backend
-    | Some spec ->
-      let spec =
-        if
-          spec.Portfolio.cube_depth > 0
-          && Array.length spec.Portfolio.cube_vars = 0
-        then { spec with Portfolio.cube_vars = ranked_key_vars view circuit miter }
-        else spec
-      in
-      Portfolio.backend spec
-  in
-  let miter_tracked = tracked_of miter_backend miter.Miter.formula in
-  let key_tracked = tracked_of backend key_formula in
+  let miter_tracked = tracked_of miter.Miter.formula in
+  let key_tracked = tracked_of key_formula in
   arm_progress label "miter" miter_tracked;
   arm_progress label "key" key_tracked;
   {
@@ -333,8 +239,6 @@ let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
     miter_tracked;
     key_tracked;
     key_vars;
-    backend;
-    miter_backend;
     inprocess_every =
       (if inprocess then Some (max 1 inprocess_every) else None);
     inprocess_period = max 1 inprocess_every;
@@ -570,17 +474,12 @@ let maybe_inprocess s =
       s.inprocess_log <- st :: s.inprocess_log;
       if not (Inprocess.is_unsat ip) then begin
         let reduced = Inprocess.formula ip in
-        let nt = tracked_of s.miter_backend reduced in
+        let nt = tracked_of reduced in
         sync nt;
-        (match nt, s.miter_tracked with
-         | Tracked ntr, Tracked otr ->
-           let (module NB) = ntr.backend in
-           let (module OB) = otr.backend in
-           OB.iter_learnts otr.solver (fun c ->
-               match Inprocess.map_clause ip c with
-               | Some c' when Array.length c' > 0 ->
-                 NB.add_clause_a ntr.solver c'
-               | _ -> ()));
+        Cdcl.iter_learnts s.miter_tracked.solver (fun c ->
+            match Inprocess.map_clause ip c with
+            | Some c' when Array.length c' > 0 -> Cdcl.add_clause_a nt.solver c'
+            | _ -> ());
         arm_progress s.label "miter" nt;
         s.miter <- { s.miter with Miter.formula = reduced };
         s.miter_tracked <- nt;
@@ -591,7 +490,7 @@ let maybe_inprocess s =
 
 (* One miter solve; shared by the screening and reference paths.
    [record_models] feeds the model's two key vectors into the screening
-   pool.  When the miter was preprocessed, the backend's model (of the
+   pool.  When the miter was preprocessed, the solver's model (of the
    reduced formula) is first extended to a model of the original formula —
    interface variables are frozen so their values pass through unchanged,
    but reconstruction keeps the extraction honest about which formula the
@@ -599,12 +498,13 @@ let maybe_inprocess s =
 let solve_dip s ~record_models =
   maybe_inprocess s;
   sync s.miter_tracked;
-  let before = tracked_stats s.miter_tracked in
+  let solver = s.miter_tracked.solver in
+  let before = Cdcl.stats solver in
   let outcome =
     Fl_obs.with_span "session.solve_dip" (fun () ->
-        tracked_solve s.miter_tracked ~budget:(budget s))
+        Cdcl.solve ~budget:(budget s) solver)
   in
-  let delta = Cdcl.sub_stats (tracked_stats s.miter_tracked) before in
+  let delta = Cdcl.sub_stats (Cdcl.stats solver) before in
   s.stats <- Cdcl.add_stats s.stats delta;
   match outcome with
   | Cdcl.Unknown ->
@@ -616,7 +516,7 @@ let solve_dip s ~record_models =
   | Cdcl.Sat ->
     s.iteration_count <- s.iteration_count + 1;
     Fl_obs.Counter.incr c_dip_solver;
-    let model = s.recon (tracked_model s.miter_tracked) in
+    let model = s.recon (Cdcl.model solver) in
     let value v = model.(v) in
     let dip = Array.map value s.miter.Miter.inputs in
     if record_models then begin
@@ -644,9 +544,7 @@ let constrain_io s ~inputs ~outputs =
   Fl_obs.with_span "session.observe" @@ fun () ->
   let circuit = s.locked.Locked.locked in
   Miter.add_io_constraint s.miter circuit ~inputs ~outputs;
-  let key_formula =
-    match s.key_tracked with Tracked tr -> tr.formula
-  in
+  let key_formula = s.key_tracked.formula in
   let enc = Tseytin.encode ~share_keys:s.key_vars key_formula circuit in
   Tseytin.assert_vector key_formula enc.Tseytin.input_vars inputs;
   Tseytin.assert_vector key_formula enc.Tseytin.output_vars outputs;
@@ -663,10 +561,10 @@ let candidate_key s =
   sync s.key_tracked;
   match
     Fl_obs.with_span "session.key_solve" (fun () ->
-        tracked_solve s.key_tracked ~budget:(budget s))
+        Cdcl.solve ~budget:(budget s) s.key_tracked.solver)
   with
   | Cdcl.Sat ->
-    let model = tracked_model s.key_tracked in
+    let model = Cdcl.model s.key_tracked.solver in
     `Key (Array.map (fun v -> model.(v)) s.key_vars)
   | Cdcl.Unsat -> `None
   | Cdcl.Unknown -> `Timeout

@@ -45,7 +45,7 @@ module Base : sig
 end
 
 (** [create ?base ?extra_key_constraint ?label ?max_conflicts ?preprocess
-    ?backend ~deadline locked] builds the miter and the key-recovery
+    ~deadline locked] builds the miter and the key-recovery
     formula; [extra_key_constraint] is asserted over both miter key copies
     and the recovery keys.  [deadline] is an absolute Unix time.
     [max_conflicts] additionally caps the total solver conflicts the
@@ -82,18 +82,8 @@ end
     With [~inprocess:false] the solve path is bit-identical to the
     non-inprocessed session.
 
-    [backend] (default {!Fl_sat.Solver_intf.cdcl}) selects the incremental
-    SAT backend both session solvers run on.
-
-    [portfolio] fronts the {e miter} solver with a
-    {!Fl_sat.Portfolio} backend built from the given spec (the
-    key-recovery solver stays on [backend]: its solves are many and
-    cheap, the miter solves dominate).  When the spec asks for cubing
-    ([cube_depth > 0]) but gives no [cube_vars], the session fills them
-    with the miter's first-copy key variables ranked by transitive
-    fanout cone size ({!Fl_netlist.View}), so the cube split happens on
-    the keys that influence the most circuit — the variables most likely
-    to partition the search space evenly.
+    Both session solvers, miter and key recovery, are incremental
+    {!Fl_sat.Cdcl} instances.
 
     [base] starts the session from a prepared {!Base.t} snapshot instead
     of building the miter: the session gets a private {!Fl_cnf.Formula}
@@ -114,8 +104,6 @@ val create :
   ?inprocess:bool ->
   ?inprocess_every:int ->
   ?inprocess_min_conflicts:int ->
-  ?backend:(module Fl_sat.Solver_intf.S) ->
-  ?portfolio:Fl_sat.Portfolio.spec ->
   deadline:float ->
   Fl_locking.Locked.t ->
   t

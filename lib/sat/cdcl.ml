@@ -66,7 +66,7 @@ let sub_stats a b =
 (* Deep distribution telemetry (DESIGN.md §4f): learnt-clause quality and
    search-shape histograms, recorded in the conflict path only when
    [Fl_obs.set_deep] is on — the off cost is one atomic load and branch
-   per conflict.  Striped atomics, so portfolio/sweep domains merge. *)
+   per conflict.  Striped atomics, so sweep domains merge. *)
 let h_lbd = Fl_obs.Hist.make "cdcl.lbd"
 let h_learnt_len = Fl_obs.Hist.make "cdcl.learnt_len"
 let h_conflict_level = Fl_obs.Hist.make "cdcl.conflict_level"
@@ -78,39 +78,12 @@ let no_budget = { max_conflicts = -1; deadline = -1.0 }
 let budget_conflicts n = { no_budget with max_conflicts = n }
 let budget_seconds s = { no_budget with deadline = Unix.gettimeofday () +. s }
 
-(* Search-heuristic configuration — the knobs a portfolio diversifies
-   over.  [default_config] reproduces the historical hard-coded
-   constants, so a solver created with it behaves bit-for-bit like one
-   created before the knobs existed (the determinism tests rely on
-   this). *)
-type config = {
-  var_decay : float;  (* VSIDS activity decay, (0, 1] *)
-  clause_decay : float;  (* learnt-clause activity decay, (0, 1] *)
-  restart_base : int;  (* conflicts in the first Luby restart segment *)
-  phase_default : [ `False | `True | `Random ];  (* unsaved-phase polarity *)
-  random_var_freq : float;  (* probability of a random decision, [0, 1) *)
-  seed : int;  (* RNG seed for `Random phases / random decisions *)
-}
-
-let default_config =
-  {
-    var_decay = 0.95;
-    clause_decay = 0.999;
-    restart_base = 64;
-    phase_default = `False;
-    random_var_freq = 0.0;
-    seed = 0;
-  }
-
-let check_config c =
-  if not (c.var_decay > 0.0 && c.var_decay <= 1.0) then
-    invalid_arg "Cdcl.create: var_decay must be in (0, 1]";
-  if not (c.clause_decay > 0.0 && c.clause_decay <= 1.0) then
-    invalid_arg "Cdcl.create: clause_decay must be in (0, 1]";
-  if c.restart_base < 1 then
-    invalid_arg "Cdcl.create: restart_base must be >= 1";
-  if not (c.random_var_freq >= 0.0 && c.random_var_freq < 1.0) then
-    invalid_arg "Cdcl.create: random_var_freq must be in [0, 1)"
+(* Search constants: VSIDS activity decay, learnt-clause activity decay,
+   and the conflict count of the first Luby restart segment.  Variables
+   decided before any phase was saved go false first. *)
+let var_decay_factor = 0.95
+let clause_decay_factor = 0.999
+let restart_base = 64
 
 (* Growable int vector. *)
 module Vec = struct
@@ -211,11 +184,6 @@ module Heap = struct
 end
 
 type t = {
-  cfg : config;
-  rng : Random.State.t;  (* drawn from only when the config asks for it *)
-  (* cooperative cancellation: polled on the budget-check path; a [true]
-     return makes the current solve come back [Unknown] *)
-  mutable interrupt : unit -> bool;
   mutable nvars : int;
   mutable ok : bool;  (* false once a top-level contradiction is derived *)
   arena : Arena.t;  (* every clause, problem + learnt, packed flat *)
@@ -269,15 +237,9 @@ type t = {
   mutable progress_cb : stats -> unit;
 }
 
-let no_interrupt () = false
-
-let create ?(config = default_config) () =
-  check_config config;
+let create () =
   let activity = ref (Array.make 8 0.0) in
   {
-    cfg = config;
-    rng = Random.State.make [| config.seed; 0x466c6b |];
-    interrupt = no_interrupt;
     nvars = 0;
     ok = true;
     arena = Arena.create ();
@@ -351,10 +313,6 @@ let ensure_vars s n =
       s.bin_watches <- bin'
     end;
     for v = s.nvars to n - 1 do
-      (match s.cfg.phase_default with
-       | `False -> ()
-       | `True -> Bytes.set s.polarity v '\001'
-       | `Random -> if Random.State.bool s.rng then Bytes.set s.polarity v '\001');
       Heap.insert s.heap v
     done;
     s.nvars <- n
@@ -402,7 +360,7 @@ let var_bump s v =
   end;
   Heap.decrease s.heap v
 
-let var_decay s = s.var_inc <- s.var_inc /. s.cfg.var_decay
+let var_decay s = s.var_inc <- s.var_inc /. var_decay_factor
 
 let cla_bump s ci =
   if Arena.learnt s.arena ci then begin
@@ -415,7 +373,7 @@ let cla_bump s ci =
     end
   end
 
-let cla_decay s = s.cla_inc <- s.cla_inc /. s.cfg.clause_decay
+let cla_decay s = s.cla_inc <- s.cla_inc /. clause_decay_factor
 
 let cancel_until s target =
   if decision_level s > target then begin
@@ -740,8 +698,8 @@ let luby s i =
 let out_of_budget budget s start_check =
   (budget.max_conflicts >= 0 && s.n_conflicts - start_check >= budget.max_conflicts)
   || (s.n_conflicts land 255 = 0
-      && (s.interrupt ()
-          || (budget.deadline >= 0.0 && Unix.gettimeofday () > budget.deadline)))
+      && budget.deadline >= 0.0
+      && Unix.gettimeofday () > budget.deadline)
 
 (* Drop the less active half of the learnt clauses and compact the arena.
    Called only at decision level 0: level-0 reasons are never dereferenced
@@ -907,21 +865,7 @@ let search s assumptions budget conflict_budget start_conflicts =
               if Lit.Lbool.is_undef (value_var s v) then v else pick ()
             end
           in
-          let v =
-            (* Occasional random decisions (portfolio diversification):
-               the picked variable stays in the heap, where a later pop
-               skips it while assigned — exactly like any other
-               out-of-date heap entry. *)
-            if
-              s.cfg.random_var_freq > 0.0
-              && s.nvars > 0
-              && Random.State.float s.rng 1.0 < s.cfg.random_var_freq
-            then begin
-              let r = Random.State.int s.rng s.nvars in
-              if Lit.Lbool.is_undef (value_var s r) then r else pick ()
-            end
-            else pick ()
-          in
+          let v = pick () in
           if v < 0 then raise (Found Sat)
           else begin
             let phase_true = Bytes.get s.polarity v = '\001' in
@@ -949,7 +893,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) s =
     let rec run i =
       if out_of_budget budget s start_conflicts then Unknown
       else begin
-        let conflict_budget = s.cfg.restart_base * luby s i in
+        let conflict_budget = restart_base * luby s i in
         match search s assumptions budget conflict_budget start_conflicts with
         | Some r -> r
         | None -> run (i + 1)
@@ -980,8 +924,8 @@ let model s =
   | None -> invalid_arg "Cdcl.model: no model (last solve was not Sat)"
   | Some m -> Array.init (Bytes.length m + 1) (fun i -> i > 0 && Bytes.get m (i - 1) = '\001')
 
-(* Learnt-clause export (portfolio clause sharing, inprocessing): every
-   live learnt clause, in DIMACS literals.  The callback must not touch
+(* Learnt-clause export (inprocessing replays them into a rebuilt
+   solver): every live learnt clause, in DIMACS literals.  The callback must not touch
    the solver. *)
 let iter_learnts s f =
   Arena.iter_learnts s.arena (fun ci ->
@@ -994,15 +938,6 @@ let iter_learnts s f =
 let reduce_now s =
   cancel_until s 0;
   if s.ok then reduce_db s
-
-let config s = s.cfg
-
-(* Cooperative cancellation (portfolio racing): [f] is polled on the
-   budget-check path — every 256 conflicts — so a stop request lands
-   within a bounded amount of extra search.  A pending interrupt makes
-   [solve] return [Unknown]; the solver stays fully usable. *)
-let set_interrupt s f = s.interrupt <- f
-let clear_interrupt s = s.interrupt <- no_interrupt
 
 let set_progress s ~every cb =
   if every <= 0 then invalid_arg "Cdcl.set_progress: every must be positive";

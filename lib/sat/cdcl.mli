@@ -50,45 +50,8 @@ val no_budget : budget
 val budget_conflicts : int -> budget
 val budget_seconds : float -> budget
 
-(** Search-heuristic configuration — the knobs a portfolio diversifies
-    over.  {!default_config} reproduces the solver's historical
-    hard-coded constants bit-for-bit, so a default-configured solver is
-    indistinguishable from one created before the knobs existed. *)
-type config = {
-  var_decay : float;  (** VSIDS activity decay, in (0, 1]; default 0.95 *)
-  clause_decay : float;
-      (** learnt-clause activity decay, in (0, 1]; default 0.999 *)
-  restart_base : int;
-      (** conflicts in the first Luby restart segment; default 64 *)
-  phase_default : [ `False | `True | `Random ];
-      (** polarity of a variable decided before any phase was saved;
-          default [`False] *)
-  random_var_freq : float;
-      (** probability that a decision picks a uniformly random variable
-          instead of the VSIDS top, in [0, 1); default 0.0 *)
-  seed : int;
-      (** seed for [`Random] phases and random decisions; unused (no RNG
-          draw ever happens) under the default config *)
-}
-
-val default_config : config
-
-(** [create ?config ()] builds an empty solver.
-    @raise Invalid_argument when a [config] field is out of range. *)
-val create : ?config:config -> unit -> t
-
-(** The configuration the solver was created with. *)
-val config : t -> config
-
-(** [set_interrupt s f] arms a cooperative cancellation hook: [f] is
-    polled on the budget-check path (every 256 conflicts), and a [true]
-    return makes the in-flight {!solve} come back [Unknown].  The solver
-    stays fully usable afterwards.  One hook per solver; re-arming
-    replaces it, {!clear_interrupt} disarms.  [f] runs on the solving
-    domain and must not touch the solver. *)
-val set_interrupt : t -> (unit -> bool) -> unit
-
-val clear_interrupt : t -> unit
+(** [create ()] builds an empty solver. *)
+val create : unit -> t
 
 (** [of_formula f] loads every clause of [f] into a fresh solver. *)
 val of_formula : Fl_cnf.Formula.t -> t
@@ -130,8 +93,8 @@ val num_learnts : t -> int
 val arena_words : t -> int
 
 (** [iter_learnts s f] calls [f] on every live learnt clause, as a fresh
-    array of DIMACS literals — the export hook for portfolio clause
-    sharing.  [f] must not modify the solver. *)
+    array of DIMACS literals — inprocessing replays them into the rebuilt
+    solver.  [f] must not modify the solver. *)
 val iter_learnts : t -> (int array -> unit) -> unit
 
 (** [reduce_now s] backtracks to level 0 and forces one learnt-database

@@ -9,9 +9,8 @@
    own reasoning (subsumption/BVE fixpoints, probing, SCC collapsing,
    XOR/Gauss) on top of it.
 
-   Like {!Solver_intf}, the record is exposed directly — the clients live
-   in this library and need structural access to clauses and occurrence
-   lists. *)
+   The record is exposed directly — the clients live in this library and
+   need structural access to clauses and occurrence lists. *)
 
 module Formula = Fl_cnf.Formula
 

@@ -8,9 +8,8 @@
     two passes layer their own reasoning (subsumption/BVE fixpoints,
     probing, SCC collapsing, XOR/Gauss) on top.
 
-    Like {!Solver_intf}, the record is exposed directly — the clients
-    live in this library and need structural access to clauses and
-    occurrence lists.  The internal reasoning steps (subsumption checks,
+    The record is exposed directly — the clients live in this library
+    and need structural access to clauses and occurrence lists.  The internal reasoning steps (subsumption checks,
     resolution, single-variable elimination) are sealed behind the
     sweep/drain entry points. *)
 
