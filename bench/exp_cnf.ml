@@ -6,9 +6,9 @@
    preprocessing pass plus the structural yield of the Inprocess engine on
    the same miter (notably recovered XOR rows — Full-Lock miters are
    XOR-saturated, so every cell should recover some), and (b) the CycSAT
-   attack run three times under the same conflict budget — preprocessed +
-   between-iterations inprocessing, preprocessed only, and reference —
-   recording statuses and wall times.
+   attack run twice under the same conflict budget — simplified (one-shot
+   preprocessing plus between-iterations inprocessing, the default) and
+   reference (no simplification) — recording statuses and wall times.
 
    Preprocessing is an equisatisfiability-preserving rewrite, so the two
    paths must never *disagree on correctness*: a cell where one side
@@ -43,9 +43,6 @@ type cell = {
   status_ref : string;
   time_pre : float;
   time_ref : float;
-  (* None when the inprocessed arm is disabled (--no-inprocess) *)
-  status_inp : string option;
-  time_inp : float option;
 }
 
 let status (r : Sat_attack.result) =
@@ -54,7 +51,6 @@ let status (r : Sat_attack.result) =
   | Sat_attack.Broken _ -> "broken-wrong"
   | Sat_attack.Timeout -> "TO"
   | Sat_attack.No_key_found -> "no-key"
-  | Sat_attack.Iteration_limit -> "iter"
 
 (* Same frozen set Session uses: every variable the incremental attack
    clauses may mention. *)
@@ -63,8 +59,7 @@ let frozen_vars (m : Miter.t) =
     [ m.Miter.inputs; m.Miter.keys_a; m.Miter.keys_b;
       m.Miter.outputs_a; m.Miter.outputs_b ]
 
-let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
-    ~plr_n ~plr_count ~seed circuit =
+let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
   let rng = Random.State.make [| seed; plr_n; plr_count |] in
   let configs = List.init plr_count (fun _ -> Fulllock.default_config ~n:plr_n) in
   match Fulllock.lock rng ~policy:`Cyclic ~configs circuit with
@@ -79,21 +74,12 @@ let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
     (* Structural inprocessing yield on the raw miter (XOR patterns still
        intact): how many XOR rows the recovery pass finds per cell. *)
     let xor_rows =
-      if not inp_enabled then 0
-      else
-        let miter = Miter.build locked.Locked.locked in
-        let ip =
-          Inprocess.run ~label:name ~frozen:(frozen_vars miter)
-            miter.Miter.formula
-        in
-        (Inprocess.stats ip).Inprocess.xor_rows
-    in
-    let r_inp =
-      if inp_enabled then
-        Some
-          (Cycsat.run ~timeout ~max_conflicts ~preprocess:true
-             ~inprocess:true ~inprocess_every:inp_every locked)
-      else None
+      let miter = Miter.build locked.Locked.locked in
+      let ip =
+        Inprocess.run ~label:name ~frozen:(frozen_vars miter)
+          miter.Miter.formula
+      in
+      (Inprocess.stats ip).Inprocess.xor_rows
     in
     let r_pre = Cycsat.run ~timeout ~max_conflicts ~preprocess:true locked in
     let r_ref = Cycsat.run ~timeout ~max_conflicts ~preprocess:false locked in
@@ -116,13 +102,9 @@ let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
         status_ref = status r_ref;
         time_pre = r_pre.Sat_attack.wall_time;
         time_ref = r_ref.Sat_attack.wall_time;
-        status_inp = Option.map status r_inp;
-        time_inp = Option.map (fun r -> r.Sat_attack.wall_time) r_inp;
       }
 
-let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
-  let inp_enabled = inprocess.Fl_cli.enabled <> Some false in
-  let inp_every = Option.value inprocess.Fl_cli.every ~default:4 in
+let run ~deep ~pool () =
   let max_conflicts = if deep then 400_000 else 80_000 in
   let timeout = if deep then 1200.0 else 240.0 in
   let scale = if deep then 2 else 4 in
@@ -141,8 +123,8 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
     Fl_par.map_list pool
       (fun (name, plr_n, plr_count) ->
         let c = Bench_suite.load_scaled name ~scale in
-        cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
-          ~plr_n ~plr_count ~seed:(Hashtbl.hash name) c)
+        cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count
+          ~seed:(Hashtbl.hash name) c)
       tasks
     |> List.map Fl_par.get
     |> List.filter_map (fun x -> x)
@@ -155,18 +137,12 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
           Printf.sprintf "%d->%d" c.clauses_before c.clauses_after;
           Printf.sprintf "%.1f%%" c.reduction_pct;
           string_of_int c.xor_rows;
-          Option.value c.status_inp ~default:"-";
           c.status_pre;
           c.status_ref;
-          (match c.time_inp with Some t -> Tables.seconds t | None -> "-");
           Tables.seconds c.time_pre;
           Tables.seconds c.time_ref;
           (if c.time_ref > 0.0 then Printf.sprintf "%.2f" (c.time_pre /. c.time_ref)
            else "-");
-          (match c.time_inp with
-           | Some t when c.time_ref > 0.0 ->
-             Printf.sprintf "%.2f" (t /. c.time_ref)
-           | _ -> "-");
         ])
       cells
   in
@@ -175,68 +151,48 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
       (Printf.sprintf
          "CNF simplification on the Table 4 grid (1/%d scale, budget %dk conflicts): \
           miter clause reduction, recovered XOR rows, and CycSAT time — \
-          inprocessed vs preprocessed vs reference"
+          simplified vs reference"
          scale (max_conflicts / 1000))
-    [ "cell"; "clauses"; "red"; "xor"; "inp"; "pre"; "ref"; "t_inp"; "t_pre";
-      "t_ref"; "r_pre"; "r_inp" ]
+    [ "cell"; "clauses"; "red"; "xor"; "pre"; "ref"; "t_pre"; "t_ref"; "r_pre" ]
     rows;
   (* A budget flip is one path breaking (with a verified key — that is what
-     "broken" means) while the other exhausts its conflict/iteration budget:
-     a boundary artifact, not a disagreement about the instance.  Anything
+     "broken" means) while the other exhausts its conflict budget: a
+     boundary artifact, not a disagreement about the instance.  Anything
      else that differs — a wrong key on one side, no-key vs broken — is. *)
   let budget_flip a b =
     match a, b with
-    | "broken", ("TO" | "iter") | ("TO" | "iter"), "broken" -> true
+    | "broken", "TO" | "TO", "broken" -> true
     | _ -> false
   in
-  (* Status lists per cell: two or three arms, compared pairwise. *)
-  let arms c =
-    c.status_pre :: c.status_ref
-    :: (match c.status_inp with Some s -> [ s ] | None -> [])
-  in
-  let rec pairs = function
-    | [] -> []
-    | x :: rest -> List.map (fun y -> x, y) rest @ pairs rest
-  in
   let strict_match =
-    List.for_all (fun c -> List.for_all (fun (a, b) -> a = b) (pairs (arms c))) cells
+    List.for_all (fun c -> c.status_pre = c.status_ref) cells
   in
   let statuses_match =
     List.for_all
       (fun c ->
-        List.for_all (fun (a, b) -> a = b || budget_flip a b) (pairs (arms c)))
+        c.status_pre = c.status_ref || budget_flip c.status_pre c.status_ref)
       cells
   in
   let budget_flips =
-    List.length
-      (List.filter
-         (fun c -> List.exists (fun (a, b) -> a <> b) (pairs (arms c)))
-         cells)
+    List.length (List.filter (fun c -> c.status_pre <> c.status_ref) cells)
   in
   let max_reduction =
     List.fold_left (fun acc c -> max acc c.reduction_pct) 0.0 cells
   in
-  let ratio_stats sel =
-    let ratios =
-      List.filter_map
-        (fun c ->
-          match sel c with
-          | Some t when c.time_ref > 0.0 -> Some (t /. c.time_ref)
-          | _ -> None)
-        cells
-    in
-    let min_ratio = List.fold_left min infinity ratios in
-    let geomean =
-      match ratios with
-      | [] -> 1.0
-      | rs ->
-        exp (List.fold_left (fun a r -> a +. log r) 0.0 rs
-             /. float_of_int (List.length rs))
-    in
-    min_ratio, geomean
+  let ratios =
+    List.filter_map
+      (fun c ->
+        if c.time_ref > 0.0 then Some (c.time_pre /. c.time_ref) else None)
+      cells
   in
-  let min_ratio, geomean = ratio_stats (fun c -> Some c.time_pre) in
-  let min_ratio_inp, geomean_inp = ratio_stats (fun c -> c.time_inp) in
+  let min_ratio = List.fold_left min infinity ratios in
+  let geomean =
+    match ratios with
+    | [] -> 1.0
+    | rs ->
+      exp (List.fold_left (fun a r -> a +. log r) 0.0 rs
+           /. float_of_int (List.length rs))
+  in
   let min_xor_rows =
     List.fold_left (fun acc c -> min acc c.xor_rows) max_int cells
   in
@@ -246,12 +202,7 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
   Report.add_float "max_clause_reduction_pct" max_reduction;
   Report.add_float "min_solve_ratio" min_ratio;
   Report.add_float "solve_ratio_geomean" geomean;
-  if inp_enabled then begin
-    Report.add_float "min_solve_ratio_inp" min_ratio_inp;
-    Report.add_float "solve_ratio_inp_geomean" geomean_inp;
-    Report.add_int "min_xor_rows"
-      (if cells = [] then 0 else min_xor_rows)
-  end;
+  Report.add_int "min_xor_rows" (if cells = [] then 0 else min_xor_rows);
   Report.add_int "cells" (List.length cells);
   Report.add_section "clause_reduction_pct"
     (List.map (fun c -> c.label, Fl_obs.Float c.reduction_pct) cells);
@@ -259,23 +210,8 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
     (List.map (fun c -> c.label, Fl_obs.String c.status_pre) cells);
   Report.add_section "status_ref"
     (List.map (fun c -> c.label, Fl_obs.String c.status_ref) cells);
-  if inp_enabled then begin
-    Report.add_section "status_inp"
-      (List.map
-         (fun c ->
-           c.label, Fl_obs.String (Option.value c.status_inp ~default:"-"))
-         cells);
-    Report.add_section "xor_rows"
-      (List.map (fun c -> c.label, Fl_obs.Int c.xor_rows) cells);
-    Report.add_section "solve_ratio_inp"
-      (List.map
-         (fun c ->
-           ( c.label,
-             match c.time_inp with
-             | Some t when c.time_ref > 0.0 -> Fl_obs.Float (t /. c.time_ref)
-             | _ -> Fl_obs.String "-" ))
-         cells)
-  end;
+  Report.add_section "xor_rows"
+    (List.map (fun c -> c.label, Fl_obs.Int c.xor_rows) cells);
   Report.add_section "solve_ratio"
     (List.map
        (fun c ->
@@ -287,13 +223,10 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
   Report.add_parallelism ~jobs:(Fl_par.jobs pool) (Fl_par.last_stats pool);
   Printf.printf
     "statuses %s across %d cells (%d budget-boundary flip%s); best clause \
-     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f%s\n"
+     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f; min xor rows \
+     %d\n"
     (if statuses_match then "consistent" else "DISAGREE ON CORRECTNESS")
     (List.length cells) budget_flips
     (if budget_flips = 1 then "" else "s")
     max_reduction min_ratio geomean
-    (if inp_enabled then
-       Printf.sprintf "; inprocessed min %.2f, geomean %.2f, min xor rows %d"
-         min_ratio_inp geomean_inp
-         (if cells = [] then 0 else min_xor_rows)
-     else "")
+    (if cells = [] then 0 else min_xor_rows)

@@ -20,7 +20,7 @@ let () =
   let trace, args = Fl_cli.take_opt "--trace" args in
   let use_dpll, args = Fl_cli.take_flag "--dpll" args in
   let show_stats, args = Fl_cli.take_flag "--stats" args in
-  let inp, args = Fl_cli.take_inprocess args in
+  let inprocess, args = Fl_cli.take_flag "--inprocess" args in
   let path =
     match args with
     | [ p ] when String.length p > 0 && p.[0] <> '-' -> p
@@ -60,7 +60,7 @@ let () =
      elimination reconstruction covers every variable.  An Unsat verdict
      decides the instance outright. *)
   let ip =
-    if inp.Fl_cli.enabled = Some true then
+    if inprocess then
       Some (Fl_sat.Inprocess.run ~label:"flsat" ~frozen:[||] formula)
     else None
   in

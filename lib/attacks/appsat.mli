@@ -17,21 +17,12 @@ type result = {
   wall_time : float;
 }
 
-(** [run ?base ?timeout ?max_iterations ?settle_every ?samples
-    ?error_threshold ?seed locked] — defaults: settle every 4 DIP
-    iterations, 64 random samples per estimate, accept below 1% estimated
-    error.  [base] is a prepared {!Session.Base} snapshot (prepared
-    without an extra key constraint — AppSAT shares the plain SAT-attack
-    base) to skip rebuilding the miter. *)
+(** [run ?base ?timeout locked] settles every 4 DIP iterations, on 64
+    random samples per estimate, and accepts a key at or below 1%
+    estimated error.  [base] is a prepared {!Session.Base} snapshot
+    (prepared without an extra key constraint — AppSAT shares the plain
+    SAT-attack base) to skip rebuilding the miter. *)
 val run :
-  ?base:Session.Base.t ->
-  ?timeout:float ->
-  ?max_iterations:int ->
-  ?settle_every:int ->
-  ?samples:int ->
-  ?error_threshold:float ->
-  ?seed:int ->
-  Fl_locking.Locked.t ->
-  result
+  ?base:Session.Base.t -> ?timeout:float -> Fl_locking.Locked.t -> result
 
 val pp_result : Format.formatter -> result -> unit

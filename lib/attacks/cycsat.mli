@@ -20,22 +20,16 @@ val no_cycle_condition :
     circuits — then {!run} degenerates to the plain SAT attack). *)
 val num_feedback_edges : Fl_netlist.Circuit.t -> int
 
-(** [run ?base ?timeout ?max_conflicts ?max_iterations ?progress
-    ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts
-    locked] — CycSAT attack; parameters as in {!Sat_attack.run}.  [base]
-    must have been prepared with {!no_cycle_condition} as its extra key
-    constraint; when given, the cycle analysis is not recomputed (the
-    base carries the emitter) and [preprocess] is superseded by the
-    base's setting. *)
+(** [run ?base ?timeout ?max_conflicts ?progress ?preprocess locked] —
+    CycSAT attack; parameters as in {!Sat_attack.run}.  [base] must have
+    been prepared with {!no_cycle_condition} as its extra key constraint;
+    when given, the cycle analysis is not recomputed (the base carries the
+    emitter) and [preprocess] is superseded by the base's setting. *)
 val run :
   ?base:Session.Base.t ->
   ?timeout:float ->
   ?max_conflicts:int ->
-  ?max_iterations:int ->
   ?progress:Sat_attack.progress ->
   ?preprocess:bool ->
-  ?inprocess:bool ->
-  ?inprocess_every:int ->
-  ?inprocess_min_conflicts:int ->
   Fl_locking.Locked.t ->
   Sat_attack.result

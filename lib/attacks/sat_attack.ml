@@ -6,7 +6,6 @@ module Locked = Fl_locking.Locked
 type status =
   | Broken of bool array
   | Timeout
-  | Iteration_limit
   | No_key_found
 
 type result = {
@@ -21,15 +20,13 @@ type result = {
 
 type progress = int -> float -> unit
 
-let run ?base ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
-    ?(progress = fun _ _ -> ()) ?extra_key_constraint ?(label = "sat")
-    ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts locked =
+let run ?base ?(timeout = 60.0) ?max_conflicts ?(progress = fun _ _ -> ())
+    ?extra_key_constraint ?(label = "sat") ?preprocess locked =
   Fl_obs.with_span ("attack." ^ label) @@ fun () ->
   let deadline = Unix.gettimeofday () +. timeout in
   let session =
     Session.create ?base ?extra_key_constraint ~label ?max_conflicts
-      ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts
-      ~deadline locked
+      ?preprocess ~deadline locked
   in
   let finish status dips =
     let key_is_correct =
@@ -51,7 +48,7 @@ let run ?base ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
             ~oracle:locked.Locked.oracle key
           = Equiv.Equivalent
         else Locked.key_matches locked ~key
-      | Timeout | Iteration_limit | No_key_found -> false
+      | Timeout | No_key_found -> false
     in
     {
       status;
@@ -64,19 +61,17 @@ let run ?base ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
     }
   in
   let rec loop dips =
-    if Session.iterations session >= max_iterations then finish Iteration_limit dips
-    else
-      match Session.find_dip session with
-      | `Timeout -> finish Timeout dips
-      | `Dip dip ->
-        Session.observe session dip;
-        progress (Session.iterations session) (Session.elapsed session);
-        loop (dip :: dips)
-      | `Exhausted ->
-        (match Session.candidate_key session with
-         | `Key key -> finish (Broken key) dips
-         | `None -> finish No_key_found dips
-         | `Timeout -> finish Timeout dips)
+    match Session.find_dip session with
+    | `Timeout -> finish Timeout dips
+    | `Dip dip ->
+      Session.observe session dip;
+      progress (Session.iterations session) (Session.elapsed session);
+      loop (dip :: dips)
+    | `Exhausted ->
+      (match Session.candidate_key session with
+       | `Key key -> finish (Broken key) dips
+       | `None -> finish No_key_found dips
+       | `Timeout -> finish Timeout dips)
   in
   loop []
 
@@ -85,7 +80,6 @@ let pp_result fmt r =
     match r.status with
     | Broken _ -> if r.key_is_correct then "broken (key correct)" else "broken (KEY WRONG)"
     | Timeout -> "timeout"
-    | Iteration_limit -> "iteration limit"
     | No_key_found -> "no consistent key"
   in
   Format.fprintf fmt "%s after %d iterations, %.2fs, ratio %.2f (%a)" status

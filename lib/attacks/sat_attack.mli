@@ -14,7 +14,6 @@
 type status =
   | Broken of bool array  (** recovered key *)
   | Timeout  (** budget exhausted — wall clock or conflict cap *)
-  | Iteration_limit
   | No_key_found  (** miter UNSAT but no consistent key (cyclic pathology) *)
 
 type result = {
@@ -30,8 +29,8 @@ type result = {
 (** Hook called after each iteration with (iteration, elapsed seconds). *)
 type progress = int -> float -> unit
 
-(** [run ?timeout ?max_conflicts ?max_iterations ?progress
-    ?extra_key_constraint ?label locked] runs the attack.
+(** [run ?base ?timeout ?max_conflicts ?progress ?extra_key_constraint
+    ?label ?preprocess locked] runs the attack.
     [extra_key_constraint] (used by CycSAT) may add clauses over a
     key-variable vector into a formula; it is applied to both miter key
     copies and to the key-recovery formula.  [max_conflicts] caps the total
@@ -42,28 +41,21 @@ type progress = int -> float -> unit
     attack in the per-iteration {!Fl_obs} records the underlying {!Session}
     emits (see {!Session.find_dip}).  [preprocess] is forwarded to
     {!Session.create}: [true] (the default) runs the one-shot SatELite-style
-    simplification of the base miter, [false] is the reference
-    unpreprocessed path.  [inprocess] / [inprocess_every] /
-    [inprocess_min_conflicts] (default off / 8 / 2048) are forwarded
-    too: between-iterations {!Fl_sat.Inprocess} simplification of the
-    growing attack formula with a solver rebuild every N DIP iterations,
-    conflict-gated as described in {!Session.create}.  [base] starts the
-    session from a prepared {!Session.Base} snapshot (see there): the
-    miter and its preprocessing are reused instead of rebuilt, and
-    [extra_key_constraint] / [preprocess] are superseded by what the base
-    captured. *)
+    simplification of the base miter and the conflict-gated
+    between-iterations {!Fl_sat.Inprocess} simplification of the growing
+    attack formula; [false] is the reference path without either.
+    [base] starts the session from a prepared {!Session.Base} snapshot
+    (see there): the miter and its preprocessing are reused instead of
+    rebuilt, and [extra_key_constraint] / [preprocess] are superseded by
+    what the base captured. *)
 val run :
   ?base:Session.Base.t ->
   ?timeout:float ->
   ?max_conflicts:int ->
-  ?max_iterations:int ->
   ?progress:progress ->
   ?extra_key_constraint:(Fl_cnf.Formula.t -> int array -> unit) ->
   ?label:string ->
   ?preprocess:bool ->
-  ?inprocess:bool ->
-  ?inprocess_every:int ->
-  ?inprocess_min_conflicts:int ->
   Fl_locking.Locked.t ->
   result
 

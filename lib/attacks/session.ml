@@ -44,20 +44,15 @@ type t = {
   mutable miter_tracked : tracked;
   key_tracked : tracked;
   key_vars : int array;
-  (* Between-iterations inprocessing: period in DIP iterations (None =
-     disabled), the iteration count at the last run, the composed
-     model-reconstruction chain (reduced-formula model -> original-miter
-     model, one layer per simplification that ran), the per-run stats log
-     and a reusable probe scratch. *)
-  inprocess_every : int option;
+  (* Between-iterations inprocessing: whether it runs at all, the current
+     adaptive period in DIP iterations, the iteration and conflict counts
+     at the last run, the composed model-reconstruction chain
+     (reduced-formula model -> original-miter model, one layer per
+     simplification that ran), the per-run stats log and a reusable probe
+     scratch. *)
+  inprocess : bool;
   mutable inprocess_period : int;
-      (* current adaptive period: starts at [inprocess_every], doubles
-         (capped) after a low-yield run, resets after a productive one *)
   mutable last_inprocess : int;
-  inprocess_min_conflicts : int;
-      (* conflict-interval gate: a run only fires once the solvers have
-         accrued this many conflicts since the previous run, so easy
-         attacks (few conflicts per DIP) never pay for a rebuild *)
   mutable last_inprocess_conflicts : int;
   mutable recon : bool array -> bool array;
   mutable inprocess_log : Inprocess.stats list;
@@ -120,50 +115,71 @@ let frozen_vars (m : Miter.t) =
     [ m.Miter.inputs; m.Miter.keys_a; m.Miter.keys_b;
       m.Miter.outputs_a; m.Miter.outputs_b ]
 
-(* A prepared base: the locked circuit's miter with any extra key
-   constraint asserted and the one-shot preprocessing already run, frozen
-   into an immutable snapshot that any number of sessions can start from.
-   Sessions mutate their miter formula (observation constraints append,
-   inprocessing replaces it), so [create] hands each one a private
-   {!Formula.copy} of the base formula — Tseytin encoding and SatELite
-   never re-run.  [Preprocess.t] reconstruction is a pure replay of the
-   elimination stack, safe to share across sessions and domains; the
-   formula copy is the only per-session cost. *)
-module Base = struct
-  type t = {
-    b_circuit : Circuit.t;
-    b_miter : Miter.t;  (* formula is the reduced base; never mutated *)
-    b_pre : Preprocess.t option;
-    b_extra : (Formula.t -> int array -> unit) option;
-  }
+(* The between-iterations inprocessing schedule (see [maybe_inprocess]):
+   base period in DIP iterations, the cap on its adaptive back-off as a
+   multiple of the base, and the conflicts the solvers must accrue between
+   runs.  This is the schedule `bench cnf` measured (EXPERIMENTS.md). *)
+let inprocess_base_period = 4
+let inprocess_max_backoff = 16
+let inprocess_gate_conflicts = 2048
 
-  let prepare ?extra_key_constraint ?(label = "base") ?(preprocess = true)
-      circuit =
-    let miter0 =
-      Fl_obs.with_span "session.build_miter" (fun () -> Miter.build circuit)
-    in
-    (match extra_key_constraint with
-     | Some add ->
-       add miter0.Miter.formula miter0.Miter.keys_a;
-       add miter0.Miter.formula miter0.Miter.keys_b
-     | None -> ());
-    (* See [create]: an Unsat preprocessing verdict would mean the miter
-       itself is contradictory — fall back to the unpreprocessed base. *)
-    let pre, miter =
-      if not preprocess then (None, miter0)
-      else begin
-        let p =
-          Fl_obs.with_span "session.preprocess" (fun () ->
-              Preprocess.run ~label ~frozen:(frozen_vars miter0)
-                miter0.Miter.formula)
-        in
-        if Preprocess.is_unsat p then (None, miter0)
-        else (Some p, { miter0 with Miter.formula = Preprocess.formula p })
-      end
-    in
+(* The simplified base miter: the locked circuit's miter with any extra
+   key constraint asserted on both key copies and, when [simplify], the
+   one-shot preprocessing already run.  The key-recovery formula is not
+   preprocessed: it grows by whole circuit copies per observation, so a
+   one-shot pass would be stale after the first iteration. *)
+type base = {
+  b_circuit : Circuit.t;
+  b_miter : Miter.t;  (* formula is the reduced base; a prepared base
+                         never mutates it *)
+  b_pre : Preprocess.t option;
+  b_extra : (Formula.t -> int array -> unit) option;
+  b_simplify : bool;  (* preprocessed, and its sessions inprocess *)
+}
+
+let build_base ?extra_key_constraint ~label ~simplify circuit =
+  let miter0 =
+    Fl_obs.with_span "session.build_miter" (fun () -> Miter.build circuit)
+  in
+  (match extra_key_constraint with
+   | Some add ->
+     add miter0.Miter.formula miter0.Miter.keys_a;
+     add miter0.Miter.formula miter0.Miter.keys_b
+   | None -> ());
+  (* The interface variables are frozen, so the clauses the attack loop
+     adds later stay sound against the reduced formula.  An Unsat verdict
+     would mean the miter itself is contradictory — defensively fall back
+     to the unpreprocessed formula. *)
+  let pre, miter =
+    if not simplify then (None, miter0)
+    else begin
+      let p =
+        Fl_obs.with_span "session.preprocess" (fun () ->
+            Preprocess.run ~label ~frozen:(frozen_vars miter0)
+              miter0.Miter.formula)
+      in
+      if Preprocess.is_unsat p then (None, miter0)
+      else (Some p, { miter0 with Miter.formula = Preprocess.formula p })
+    end
+  in
+  { b_circuit = circuit; b_miter = miter; b_pre = pre;
+    b_extra = extra_key_constraint; b_simplify = simplify }
+
+(* A prepared base is that miter frozen into an immutable snapshot that
+   any number of sessions can start from.  Sessions mutate their miter
+   formula (observation constraints append, inprocessing replaces it), so
+   [create] hands each one a private {!Formula.copy} of the base formula —
+   Tseytin encoding and SatELite never re-run.  [Preprocess.t]
+   reconstruction is a pure replay of the elimination stack, safe to share
+   across sessions and domains; the formula copy is the only per-session
+   cost. *)
+module Base = struct
+  type t = base
+
+  let prepare ?extra_key_constraint ?(label = "base") circuit =
+    let b = build_base ?extra_key_constraint ~label ~simplify:true circuit in
     Fl_obs.Counter.incr c_base_prepared;
-    { b_circuit = circuit; b_miter = miter; b_pre = pre;
-      b_extra = extra_key_constraint }
+    b
 
   let circuit b = b.b_circuit
   let clause_var_ratio b = Formula.ratio b.b_miter.Miter.formula
@@ -171,60 +187,32 @@ module Base = struct
 end
 
 let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
-    ?(preprocess = true) ?(inprocess = false) ?(inprocess_every = 8)
-    ?(inprocess_min_conflicts = 2048) ~deadline locked =
+    ?(preprocess = true) ~deadline locked =
   let circuit = locked.Locked.locked in
   (* With a prepared base, the miter (extra constraint included) and the
-     preprocessing verdict come from the snapshot; the session's private
+     simplification setting come from the snapshot; the session's private
      formula is a copy so observation constraints and inprocessing never
-     touch the shared base.  The [extra_key_constraint] and [preprocess]
-     arguments are superseded by what the base was prepared with. *)
-  let extra_key_constraint =
-    match base with
-    | Some b -> b.Base.b_extra
-    | None -> extra_key_constraint
-  in
-  let pre, miter =
+     touch the shared base. *)
+  let b, miter =
     match base with
     | Some b ->
-      if not (b.Base.b_circuit == circuit) then
+      if not (b.b_circuit == circuit) then
         invalid_arg
           "Fl_attacks.Session.create: base was prepared for a different \
            circuit";
       Fl_obs.Counter.incr c_base_reused;
-      ( b.Base.b_pre,
-        { b.Base.b_miter with
-          Miter.formula = Formula.copy b.Base.b_miter.Miter.formula } )
+      ( b,
+        { b.b_miter with Miter.formula = Formula.copy b.b_miter.Miter.formula }
+      )
     | None ->
-      let miter0 =
-        Fl_obs.with_span "session.build_miter" (fun () -> Miter.build circuit)
+      let b =
+        build_base ?extra_key_constraint ~label ~simplify:preprocess circuit
       in
-      (match extra_key_constraint with
-       | Some add ->
-         add miter0.Miter.formula miter0.Miter.keys_a;
-         add miter0.Miter.formula miter0.Miter.keys_b
-       | None -> ());
-      (* Preprocess the base miter (including any extra key constraint,
-         which the simplifier may exploit) with the interface variables
-         frozen.  The key-recovery formula is not preprocessed: it grows by
-         whole circuit copies per observation, so a one-shot pass would be
-         stale after the first iteration.  An Unsat verdict here would mean
-         the miter itself is contradictory — defensively fall back to the
-         unpreprocessed path. *)
-      if not preprocess then (None, miter0)
-      else begin
-        let p =
-          Fl_obs.with_span "session.preprocess" (fun () ->
-              Preprocess.run ~label ~frozen:(frozen_vars miter0)
-                miter0.Miter.formula)
-        in
-        if Preprocess.is_unsat p then (None, miter0)
-        else (Some p, { miter0 with Miter.formula = Preprocess.formula p })
-      end
+      (b, b.b_miter)
   in
   let key_formula = Formula.create () in
   let key_vars = Formula.fresh_vars key_formula (Circuit.num_keys circuit) in
-  (match extra_key_constraint with
+  (match b.b_extra with
    | Some add -> add key_formula key_vars
    | None -> ());
   let view = View.of_circuit circuit in
@@ -235,18 +223,16 @@ let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
   {
     locked;
     miter;
-    pre;
+    pre = b.b_pre;
     miter_tracked;
     key_tracked;
     key_vars;
-    inprocess_every =
-      (if inprocess then Some (max 1 inprocess_every) else None);
-    inprocess_period = max 1 inprocess_every;
+    inprocess = b.b_simplify;
+    inprocess_period = inprocess_base_period;
     last_inprocess = 0;
-    inprocess_min_conflicts = max 0 inprocess_min_conflicts;
     last_inprocess_conflicts = 0;
     recon =
-      (match pre with
+      (match b.b_pre with
        | None -> fun m -> m
        | Some p -> Preprocess.reconstruct p);
     inprocess_log = [];
@@ -418,7 +404,7 @@ let screen_dip s =
     in
     Fl_obs.with_span "session.screen" (fun () -> pass screen_passes_per_call)
 
-(* Between-iterations inprocessing.  Every [inprocess_every] DIP
+(* Between-iterations inprocessing.  Every [inprocess_period] DIP
    iterations the miter formula — base clauses plus the incremental
    observation tail — is re-simplified (probing, SCC collapsing,
    XOR/Gauss, subsumption, bounded elimination) with the interface
@@ -434,15 +420,16 @@ let screen_dip s =
 
    The period adapts: a run that removes under ~2% of the clauses and
    derives no units or equivalences was overhead, so the next one waits
-   twice as long (capped at 16x the base period); a productive run
-   resets the period.  On top of the iteration period, a run only fires
-   once the session solvers have accrued [inprocess_min_conflicts]
-   conflicts since the previous run (the schedule conflict-driven
-   solvers use): an attack the solver finds easy — DIPs falling out in
-   a handful of conflicts — never pays for a rebuild it cannot amortise,
-   while a thrashing miter crosses the gate every few iterations and is
-   re-simplified on the dense base schedule.  Both gates are functions
-   of solver state only, so the schedule is machine-independent. *)
+   twice as long (capped at [inprocess_max_backoff] times the base
+   period); a productive run resets the period.  On top of the iteration
+   period, a run only fires once the session solvers have accrued
+   [inprocess_gate_conflicts] conflicts since the previous run (the
+   schedule conflict-driven solvers use): an attack the solver finds easy
+   — DIPs falling out in a handful of conflicts — never pays for a
+   rebuild it cannot amortise, while a thrashing miter crosses the gate
+   every few iterations and is re-simplified on the dense base schedule.
+   Both gates are functions of solver state only, so the schedule is
+   machine-independent. *)
 let inprocess_productive (st : Inprocess.stats) =
   let removed = st.Inprocess.clauses_before - st.Inprocess.clauses_after in
   removed * 50 >= st.Inprocess.clauses_before
@@ -450,43 +437,44 @@ let inprocess_productive (st : Inprocess.stats) =
   || st.Inprocess.equiv_collapsed > 0
 
 let maybe_inprocess s =
-  match s.inprocess_every with
-  | None -> ()
-  | Some every ->
-    if
-      s.iteration_count - s.last_inprocess >= s.inprocess_period
-      && s.iteration_count > 0
-      && s.stats.Cdcl.conflicts - s.last_inprocess_conflicts
-         >= s.inprocess_min_conflicts
-      && not (out_of_time s)
-    then begin
-      s.last_inprocess <- s.iteration_count;
-      s.last_inprocess_conflicts <- s.stats.Cdcl.conflicts;
-      let ip =
-        Fl_obs.with_span "session.inprocess" (fun () ->
-            Inprocess.run ~label:s.label ~scratch:s.scratch
-              ~frozen:(frozen_vars s.miter) s.miter.Miter.formula)
-      in
-      let st = Inprocess.stats ip in
-      s.inprocess_period <-
-        (if inprocess_productive st then every
-         else min (16 * every) (2 * s.inprocess_period));
-      s.inprocess_log <- st :: s.inprocess_log;
-      if not (Inprocess.is_unsat ip) then begin
-        let reduced = Inprocess.formula ip in
-        let nt = tracked_of reduced in
-        sync nt;
-        Cdcl.iter_learnts s.miter_tracked.solver (fun c ->
-            match Inprocess.map_clause ip c with
-            | Some c' when Array.length c' > 0 -> Cdcl.add_clause_a nt.solver c'
-            | _ -> ());
-        arm_progress s.label "miter" nt;
-        s.miter <- { s.miter with Miter.formula = reduced };
-        s.miter_tracked <- nt;
-        let prev = s.recon in
-        s.recon <- (fun m -> prev (Inprocess.reconstruct ip m))
-      end
+  if
+    s.inprocess
+    && s.iteration_count - s.last_inprocess >= s.inprocess_period
+    && s.iteration_count > 0
+    && s.stats.Cdcl.conflicts - s.last_inprocess_conflicts
+       >= inprocess_gate_conflicts
+    && not (out_of_time s)
+  then begin
+    s.last_inprocess <- s.iteration_count;
+    s.last_inprocess_conflicts <- s.stats.Cdcl.conflicts;
+    let ip =
+      Fl_obs.with_span "session.inprocess" (fun () ->
+          Inprocess.run ~label:s.label ~scratch:s.scratch
+            ~frozen:(frozen_vars s.miter) s.miter.Miter.formula)
+    in
+    let st = Inprocess.stats ip in
+    s.inprocess_period <-
+      (if inprocess_productive st then inprocess_base_period
+       else
+         min
+           (inprocess_max_backoff * inprocess_base_period)
+           (2 * s.inprocess_period));
+    s.inprocess_log <- st :: s.inprocess_log;
+    if not (Inprocess.is_unsat ip) then begin
+      let reduced = Inprocess.formula ip in
+      let nt = tracked_of reduced in
+      sync nt;
+      Cdcl.iter_learnts s.miter_tracked.solver (fun c ->
+          match Inprocess.map_clause ip c with
+          | Some c' when Array.length c' > 0 -> Cdcl.add_clause_a nt.solver c'
+          | _ -> ());
+      arm_progress s.label "miter" nt;
+      s.miter <- { s.miter with Miter.formula = reduced };
+      s.miter_tracked <- nt;
+      let prev = s.recon in
+      s.recon <- (fun m -> prev (Inprocess.reconstruct ip m))
     end
+  end
 
 (* One miter solve; shared by the screening and reference paths.
    [record_models] feeds the model's two key vectors into the screening

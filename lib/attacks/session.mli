@@ -19,17 +19,16 @@ type t
 module Base : sig
   type t
 
-  (** [prepare ?extra_key_constraint ?label ?preprocess circuit] builds
-      and preprocesses the base miter of [circuit] once.  The arguments
-      mean what they mean on {!Session.create}; they are captured in the
-      snapshot, so sessions created from this base inherit them
-      (CycSAT's no-cycle emitter prepared here is re-applied to each
-      session's key-recovery formula).  Counted on
-      [session.base.prepared]. *)
+  (** [prepare ?extra_key_constraint ?label circuit] builds and
+      preprocesses the base miter of [circuit] once.  The arguments mean
+      what they mean on {!Session.create}; they are captured in the
+      snapshot, so sessions created from this base inherit them (CycSAT's
+      no-cycle emitter prepared here is re-applied to each session's
+      key-recovery formula).  A base is always simplified, so its
+      sessions inprocess.  Counted on [session.base.prepared]. *)
   val prepare :
     ?extra_key_constraint:(Fl_cnf.Formula.t -> int array -> unit) ->
     ?label:string ->
-    ?preprocess:bool ->
     Fl_netlist.Circuit.t ->
     t
 
@@ -54,33 +53,32 @@ end
     deadline is contention-sensitive).  [label] (default ["sat"]) names the
     attack in every {!Fl_obs} record the session emits.
 
-    [preprocess] (default [true]) runs {!Fl_sat.Preprocess} once over the
-    base miter — subsumption, self-subsuming resolution and bounded
-    variable elimination — with the miter's interface variables (shared
-    inputs, both key copies, both output vectors) frozen, so the clauses
-    the attack loop adds later remain sound against the reduced formula.
-    Models of the reduced formula are reconstructed to full models before
-    DIPs and pool keys are extracted.  Pass [~preprocess:false] for the
-    reference unpreprocessed path.
+    [preprocess] (default [true]) simplifies the attack formula.  It runs
+    {!Fl_sat.Preprocess} once over the base miter — subsumption,
+    self-subsuming resolution and bounded variable elimination — with the
+    miter's interface variables (shared inputs, both key copies, both
+    output vectors) frozen, so the clauses the attack loop adds later
+    remain sound against the reduced formula.  Models of the reduced
+    formula are reconstructed to full models before DIPs and pool keys
+    are extracted.
 
-    [inprocess] (default [false]) additionally re-runs the bounded
-    {!Fl_sat.Inprocess} engine (failed-literal probing, equivalent-literal
-    SCC collapsing, XOR recovery + GF(2) elimination, subsumption, bounded
-    elimination) over the miter formula — base clauses plus the
-    accumulated observation tail — every [inprocess_every] DIP iterations
-    (default 8), rebuilding the miter solver from the reduced formula and
-    replaying learnt clauses that survive the substitution/unit maps.
-    The period backs off adaptively: after a run that removes under ~2%
-    of the clauses and derives no units or equivalences the next run
-    waits twice as long (capped at 16x [inprocess_every]); a productive
-    run resets the schedule.  Runs are additionally conflict-gated: one
-    only fires after the session solvers have accrued
-    [inprocess_min_conflicts] conflicts (default 2048) since the
-    previous run, so attacks the solver finds easy never pay for a
-    rebuild they cannot amortise.  Both gates depend on solver state
-    only — the schedule is machine-independent.
-    With [~inprocess:false] the solve path is bit-identical to the
-    non-inprocessed session.
+    It also re-runs the bounded {!Fl_sat.Inprocess} engine
+    (failed-literal probing, equivalent-literal SCC collapsing, XOR
+    recovery + GF(2) elimination, subsumption, bounded elimination) over
+    the miter formula — base clauses plus the accumulated observation
+    tail — between DIP iterations, rebuilding the miter solver from the
+    reduced formula and replaying learnt clauses that survive the
+    substitution/unit maps.  The schedule is fixed: a base period of 4
+    DIP iterations, doubled after a run that removes under ~2% of the
+    clauses and derives no units or equivalences (capped at 16x) and
+    reset after a productive one; and a run only fires after the session
+    solvers have accrued 2048 conflicts since the previous run, so
+    attacks the solver finds easy never pay for a rebuild they cannot
+    amortise.  Both gates depend on solver state only — the schedule is
+    machine-independent.
+
+    Pass [~preprocess:false] for the reference path: no simplification at
+    all.
 
     Both session solvers, miter and key recovery, are incremental
     {!Fl_sat.Cdcl} instances.
@@ -101,9 +99,6 @@ val create :
   ?label:string ->
   ?max_conflicts:int ->
   ?preprocess:bool ->
-  ?inprocess:bool ->
-  ?inprocess_every:int ->
-  ?inprocess_min_conflicts:int ->
   deadline:float ->
   Fl_locking.Locked.t ->
   t
@@ -166,8 +161,8 @@ val clause_var_ratio : t -> float
 val preprocess_stats : t -> Fl_sat.Preprocess.stats option
 
 (** Statistics of the between-iterations inprocessing runs, oldest first;
-    empty unless the session was created with [~inprocess:true] and at
-    least one period elapsed. *)
+    empty when the session was created with [~preprocess:false] or no run
+    has passed the schedule's gates yet. *)
 val inprocess_stats : t -> Fl_sat.Inprocess.stats list
 
 val elapsed : t -> float

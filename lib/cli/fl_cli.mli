@@ -14,24 +14,6 @@ val take_opt : string -> string list -> string option * string list
     it. *)
 val take_flag : string -> string list -> bool * string list
 
-(** Parsed inprocessing flags: [enabled = None] when neither
-    [--inprocess] nor [--no-inprocess] was given (caller's default
-    applies); [every] from [--inprocess-every N]. *)
-type inprocess = { enabled : bool option; every : int option }
-
-(** [take_inprocess args] strips [--inprocess], [--no-inprocess] and
-    [--inprocess-every N] from [args].  Exits 2 when both polarity flags
-    are present or N is not a positive integer. *)
-val take_inprocess : string list -> inprocess * string list
-
-(** [check_inprocess ~on ~off ~every] validates pre-parsed flag values
-    (the Cmdliner path) with the same exit-2 behaviour. *)
-val check_inprocess : on:bool -> off:bool -> every:int option -> inprocess
-
-(** [parse_inprocess_every s] is [s] as a positive int; exits 2
-    otherwise. *)
-val parse_inprocess_every : string -> int
-
 (** [slurp path] reads the whole file as raw bytes; ["-"] reads stdin to
     EOF.  Exits 2 when the file cannot be opened. *)
 val slurp : string -> string

@@ -2,6 +2,31 @@ module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
 module Pass = Insertion_util.Pass
 
+(* Nodes reachable from [src] (itself included) in the circuit built so
+   far.  That circuit carries the MUXes inserted for earlier wires, whose
+   decoy edges can make a node reachable that was not in the original. *)
+let reachable_from b src =
+  let n = Circuit.Builder.size b in
+  let fanouts = Array.make n [] in
+  for id = 0 to n - 1 do
+    Array.iter
+      (fun f -> fanouts.(f) <- id :: fanouts.(f))
+      (Circuit.Builder.fanins_of b id)
+  done;
+  let seen = Array.make n false in
+  let stack = ref [ src ] in
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | u :: rest ->
+      stack := rest;
+      if not seen.(u) then begin
+        seen.(u) <- true;
+        stack := List.rev_append fanouts.(u) !stack
+      end
+  done;
+  seen
+
 let lock rng ~key_bits orig =
   let p = Pass.start ~name:"mux" orig in
   let b = Pass.builder p in
@@ -9,19 +34,17 @@ let lock rng ~key_bits orig =
   let num_nodes = Circuit.num_nodes orig in
   Array.iter
     (fun w ->
-      (* Decoy: any original node not in the transitive fanout of [w] (and
-         not [w] itself), so MUX insertion cannot close a cycle. *)
-      let in_fanout = Array.make num_nodes false in
-      for id = 0 to num_nodes - 1 do
-        if Circuit.reaches orig ~src:w ~dst:id then in_fanout.(id) <- true
-      done;
+      (* Decoy: any original node the MUX output cannot reach — outside
+         the current transitive fanout of [w], and not [w] itself — so MUX
+         insertion cannot close a cycle. *)
+      let in_fanout = reachable_from b (Pass.wire p w) in
       let decoys = ref [] in
       for id = 0 to num_nodes - 1 do
         match (Circuit.node orig id).Circuit.kind with
         | Gate.Key_input | Gate.Const _ -> ()
         | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or
         | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Mux | Gate.Lut _ ->
-          if (not in_fanout.(id)) && id <> w then decoys := id :: !decoys
+          if not in_fanout.(Pass.wire p id) then decoys := id :: !decoys
       done;
       match !decoys with
       | [] -> ()  (* no safe decoy for this wire; skip it *)

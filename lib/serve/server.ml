@@ -326,7 +326,6 @@ let run_attack t (req : Protocol.request) conn =
             match r.Sat_attack.status with
             | Sat_attack.Broken key -> ("broken", Some key)
             | Sat_attack.Timeout -> ("timeout", None)
-            | Sat_attack.Iteration_limit -> ("iteration_limit", None)
             | Sat_attack.No_key_found -> ("no_key_found", None)
           in
           Protocol.result_frame ~id:req.Protocol.id ~op:"attack"

@@ -97,15 +97,6 @@ let test_sat_timeout_reported () =
   let r = Sat_attack.run ~timeout:0.05 l in
   check bool_t "timeout" true (r.Sat_attack.status = Sat_attack.Timeout)
 
-let test_sat_iteration_limit () =
-  let rng = Random.State.make [| 9 |] in
-  let l = Fl_locking.Sarlock.lock rng ~key_bits:6 (host ()) in
-  let r = Sat_attack.run ~timeout:60.0 ~max_iterations:3 l in
-  check bool_t "limited" true
-    (r.Sat_attack.status = Sat_attack.Iteration_limit
-     || r.Sat_attack.status = Sat_attack.Timeout
-     || broken_correct r)
-
 let test_sat_ratio_positive () =
   let rng = Random.State.make [| 10 |] in
   let l = Fl_locking.Rll.lock rng ~key_bits:4 (host ()) in
@@ -170,7 +161,7 @@ let test_sat_on_sfll_needs_many_iterations () =
 let test_appsat_approximates_sfll () =
   let rng = Random.State.make [| 33 |] in
   let l = Fl_locking.Sfll.lock rng ~key_bits:8 ~h:1 (host ~inputs:10 ()) in
-  let r = Appsat.run ~timeout:60.0 ~settle_every:2 ~error_threshold:0.02 l in
+  let r = Appsat.run ~timeout:60.0 l in
   match r.Appsat.key with
   | None -> Alcotest.fail "appsat found no key"
   | Some _ ->
@@ -210,7 +201,7 @@ let test_appsat_approximates_sarlock () =
      exact attack's ~2^k iterations. *)
   let rng = Random.State.make [| 12 |] in
   let l = Fl_locking.Sarlock.lock rng ~key_bits:8 (host ~inputs:10 ()) in
-  let r = Appsat.run ~timeout:60.0 ~settle_every:2 ~error_threshold:0.02 l in
+  let r = Appsat.run ~timeout:60.0 l in
   match r.Appsat.key with
   | None -> Alcotest.fail "appsat found no key"
   | Some _ ->
@@ -415,14 +406,17 @@ let test_affine_rejects_plr () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let qcheck_case ?(count = 15) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+(* [print] names the generated seed in a failure report, so the failing
+   case can be re-run on its own. *)
+let qcheck_case ?(count = 15) ~print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen prop)
 
 let prop_sat_attack_recovers_function =
   (* Whatever scheme, on small instances the SAT attack's recovered key is
      functionally correct (acyclic circuits only). *)
   let gen = QCheck2.Gen.(pair (int_bound 1000) (int_range 0 3)) in
-  qcheck_case "sat attack sound on acyclic schemes" gen (fun (seed, which) ->
+  qcheck_case ~print:QCheck2.Print.(pair int int)
+    "sat attack sound on acyclic schemes" gen (fun (seed, which) ->
       let c = host ~seed:(seed + 31) () in
       let rng = Random.State.make [| seed |] in
       let l =
@@ -437,7 +431,8 @@ let prop_sat_attack_recovers_function =
 
 let prop_cycsat_sound_on_cyclic_fulllock =
   let gen = QCheck2.Gen.int_bound 1000 in
-  qcheck_case ~count:6 "cycsat sound on cyclic full-lock" gen (fun seed ->
+  qcheck_case ~count:6 ~print:QCheck2.Print.int
+    "cycsat sound on cyclic full-lock" gen (fun seed ->
       let c = host ~seed:(seed + 77) ~gates:90 () in
       let rng = Random.State.make [| seed |] in
       let l = Fulllock.lock_one rng ~policy:`Cyclic ~n:4 c in
@@ -450,11 +445,9 @@ let prop_cycsat_sound_on_cyclic_fulllock =
 
 module Session = Fl_attacks.Session
 
-(* Drive the CEGAR loop by hand through [dip_fn] until the miter is
-   exhausted, returning the recovered key and iteration count. *)
-let recover_key ~dip_fn l =
-  let deadline = Unix.gettimeofday () +. 60.0 in
-  let s = Session.create ~deadline l in
+(* Drive the CEGAR loop of [s] by hand through [dip_fn] until the miter
+   is exhausted, returning the recovered key. *)
+let drive ~dip_fn s =
   let rec loop () =
     match dip_fn s with
     | `Dip dip ->
@@ -462,11 +455,17 @@ let recover_key ~dip_fn l =
       loop ()
     | `Exhausted ->
       (match Session.candidate_key s with
-       | `Key k -> Some (k, Session.iterations s)
+       | `Key k -> Some k
        | `None | `Timeout -> None)
     | `Timeout -> None
   in
   loop ()
+
+(* The key [drive] recovers from a fresh session, with its iteration
+   count. *)
+let recover_key ~dip_fn l =
+  let s = Session.create ~deadline:(Unix.gettimeofday () +. 60.0) l in
+  Option.map (fun k -> k, Session.iterations s) (drive ~dip_fn s)
 
 let test_screened_find_dip_matches_reference () =
   let c_screened = Fl_obs.Counter.make "session.dip.screened" in
@@ -521,63 +520,56 @@ let test_preprocessed_attack_matches_reference () =
   attack_both "c432/4"
     (Fulllock.lock_one rng ~n:4 (Fl_netlist.Bench_suite.load_scaled "c432" ~scale:4))
 
+(* Full-Lock 1x8 on the 120-gate host and 1x4 on c432/4 make enough
+   conflicts to cross the inprocessing gate by themselves. *)
+let inprocess_runs = Fl_obs.Counter.make "inprocess.runs"
+
 let test_inprocessed_attack_matches_reference () =
-  (* The periodic solver rebuilds must not change the CEGAR verdict: both
-     paths recover a functionally correct key on the same instance (keys
-     may differ; both must pass the oracle-equivalence check). A tight
-     --inprocess-every forces several rebuild+learnt-replay cycles. *)
+  (* The periodic solver rebuilds must not change the CEGAR verdict: the
+     default path (pre- and inprocessing) and the reference path (no
+     simplification) both recover a functionally correct key on the same
+     instance (keys may differ; both must pass the oracle-equivalence
+     check). *)
   let attack_both name l =
-    let r_inp =
-      Sat_attack.run ~timeout:120.0 ~inprocess:true ~inprocess_every:2
-        ~inprocess_min_conflicts:0 l
-    in
-    let r_ref = Sat_attack.run ~timeout:120.0 l in
+    let runs0 = Fl_obs.Counter.value inprocess_runs in
+    let r_inp = Sat_attack.run ~timeout:120.0 l in
+    check bool_t (name ^ ": inprocessing ran") true
+      (Fl_obs.Counter.value inprocess_runs > runs0);
+    let r_ref = Sat_attack.run ~timeout:120.0 ~preprocess:false l in
     check bool_t (name ^ ": inprocessed path breaks it") true
       (broken_correct r_inp);
     check bool_t (name ^ ": reference path breaks it") true
       (broken_correct r_ref)
   in
+  let rng = Random.State.make [| 53 |] in
+  attack_both "fulllock 1x8" (Fulllock.lock_one rng ~n:8 (host ~gates:120 ()));
   let rng = Random.State.make [| 61 |] in
-  attack_both "rll"
-    (Fl_locking.Rll.lock rng ~key_bits:6 (host ()));
-  let rng = Random.State.make [| 62 |] in
-  attack_both "fulllock/4" (Fulllock.lock_one rng ~n:4 (host ~gates:80 ()))
+  attack_both "c432/4"
+    (Fulllock.lock_one rng ~n:4 (Fl_netlist.Bench_suite.load_scaled "c432" ~scale:4))
 
 let test_inprocess_session_runs_and_logs () =
-  (* With a tiny period the session must actually run inprocessing and
-     record one stats entry per run, and the attack must still succeed. *)
-  let rng = Random.State.make [| 63 |] in
-  let l = Fl_locking.Sarlock.lock rng ~key_bits:5 (host ()) in
-  let deadline = Unix.gettimeofday () +. 60.0 in
-  let s =
-    Session.create ~inprocess:true ~inprocess_every:2
-      ~inprocess_min_conflicts:0 ~deadline l
-  in
-  let key = ref None in
-  (try
-     while true do
-       match Session.find_dip s with
-       | `Dip dip -> Session.observe s dip
-       | `Exhausted ->
-         (match Session.candidate_key s with
-          | `Key k -> key := Some k
-          | _ -> ());
-         raise Exit
-       | `Timeout -> raise Exit
-     done
-   with Exit -> ());
-  check bool_t "key found" true (!key <> None);
+  (* The default session must run inprocessing on an instance that crosses
+     the gate, record one stats entry per run, and still recover a correct
+     key; the reference session logs no runs. *)
+  let rng = Random.State.make [| 62 |] in
+  let l = Fulllock.lock_one rng ~n:8 (host ~gates:120 ()) in
+  let deadline = Unix.gettimeofday () +. 120.0 in
+  let s = Session.create ~deadline l in
+  (match drive ~dip_fn:Session.find_dip s with
+   | Some key -> check bool_t "key correct" true (Locked.key_matches l ~key)
+   | None -> Alcotest.fail "no key found");
   let runs = Session.inprocess_stats s in
-  check bool_t "inprocessing ran" true (List.length runs >= 1);
+  check bool_t "on by default" true (runs <> []);
   List.iter
     (fun st ->
       check bool_t "no clause growth" true
         (st.Fl_sat.Inprocess.clauses_after
          <= st.Fl_sat.Inprocess.clauses_before))
     runs;
-  (* Disabled by default: no log entries. *)
-  let s_off = Session.create ~deadline l in
-  check bool_t "off by default" true (Session.inprocess_stats s_off = [])
+  let s_off = Session.create ~preprocess:false ~deadline l in
+  ignore (drive ~dip_fn:Session.find_dip s_off);
+  check bool_t "off without simplification" true
+    (Session.inprocess_stats s_off = [])
 
 let test_session_preprocess_reduces () =
   (* The default session runs the one-shot miter preprocessing and reports
@@ -602,8 +594,8 @@ let test_session_preprocess_reduces () =
 (* ------------------------------------------------------------------ *)
 
 let test_fulllock_work_pinned () =
-  (* One seeded small Full-Lock attack (preprocessing on, inprocessing off)
-     must do exactly this much search.  The figures are not a quality bar:
+  (* One seeded small Full-Lock attack must do exactly this much search.
+     It stays below the inprocessing gate, so only preprocessing runs.  The figures are not a quality bar:
      they pin the search itself, so a refactor of the solver or the attack
      session that changes the DIP sequence or any decision shows up here
      instead of only as a timing shift.  If a change means to alter the
@@ -611,8 +603,7 @@ let test_fulllock_work_pinned () =
   let rng = Random.State.make [| 53 |] in
   let l = Fulllock.lock_one rng ~n:4 (host ~gates:80 ()) in
   let r =
-    Sat_attack.run ~timeout:600.0 ~max_conflicts:100_000 ~preprocess:true
-      ~inprocess:false l
+    Sat_attack.run ~timeout:600.0 ~max_conflicts:100_000 ~preprocess:true l
   in
   let st = r.Sat_attack.solver in
   check bool_t "broken correctly" true (broken_correct r);
@@ -634,7 +625,6 @@ let () =
           Alcotest.test_case "breaks small cln" `Quick test_sat_breaks_small_cln;
           Alcotest.test_case "breaks small fulllock" `Slow test_sat_breaks_small_fulllock;
           Alcotest.test_case "timeout" `Quick test_sat_timeout_reported;
-          Alcotest.test_case "iteration limit" `Quick test_sat_iteration_limit;
           Alcotest.test_case "ratio" `Quick test_sat_ratio_positive;
           Alcotest.test_case "screened dips = reference" `Quick
             test_screened_find_dip_matches_reference;

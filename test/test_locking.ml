@@ -150,6 +150,23 @@ let test_crosslock_acyclic () =
   (* n=8 crossbar: 8 outputs x 3 select bits *)
   check int_t "key bits" 24 (Locked.num_key_bits l)
 
+let test_mux_lock_acyclic () =
+  (* At these seeds a decoy outside the original fanout of its wire was
+     still reachable through an earlier MUX, so inserting it closed a
+     cycle. *)
+  List.iter
+    (fun seed ->
+      let c =
+        Generator.random ~seed:(seed + 31) ~name:"host"
+          { Generator.num_inputs = 8; num_outputs = 4; num_gates = 60;
+            max_fanin = 3; and_bias = 0.8 }
+      in
+      let rng = Random.State.make [| seed |] in
+      let l = Fl_locking.Mux_lock.lock rng ~key_bits:5 c in
+      check bool_t (Printf.sprintf "seed %d acyclic" seed) true
+        (Circuit.is_acyclic l.Locked.locked))
+    [ 401; 480 ]
+
 let test_lutlock_key_budget () =
   let c = host () in
   let rng = Random.State.make [| 11 |] in
@@ -370,6 +387,7 @@ let () =
           Alcotest.test_case "cyclic lock wrong key" `Quick test_cyclic_lock_wrong_key_oscillates_or_corrupts;
           Alcotest.test_case "antisat key family" `Quick test_antisat_correct_key_family;
           Alcotest.test_case "crosslock acyclic" `Quick test_crosslock_acyclic;
+          Alcotest.test_case "mux lock acyclic" `Quick test_mux_lock_acyclic;
           Alcotest.test_case "lutlock key budget" `Quick test_lutlock_key_budget;
         ] );
       ( "fulllock",
