@@ -1,10 +1,10 @@
 (* Experiment harness: one sub-command per table/figure of the paper, plus
-   the supplementary security experiments, ablations and micro benches.
+   the supplementary security experiments, ablations and the simulation
+   throughput bench.
 
    Usage:  main.exe [experiment ...] [--deep] [--trace FILE] [--jobs N]
                     [--baseline FILE] [--tolerance X]
            main.exe all            (default; every experiment, scaled budget)
-           main.exe micro          (Bechamel micro-benchmarks)
 
    --deep raises sizes and timeouts toward (but nowhere near) the paper's
    2e6-second testbed budget.  --trace installs a JSONL Fl_obs sink: every
@@ -22,7 +22,8 @@
    --baseline FILE (one experiment only) re-reads the fresh report after
    the run and gates it against the committed FILE with
    Fl_cli.Baseline.gate: statuses must match and watched metrics must stay
-   within --tolerance (default 1.25); a regression exits 1. *)
+   within --tolerance (default 1.25); a regression exits 1, and an
+   unreadable FILE exits 2 before anything runs. *)
 
 let experiments ~deep ~pool =
   [
@@ -41,8 +42,7 @@ let experiments ~deep ~pool =
     "corruption", (fun () -> Exp_security.corruption ~deep ~pool ());
     "bdd", (fun () -> Exp_bdd.run ~deep ());
     "ablate", (fun () -> Exp_ablate.run ~deep ());
-    "micro", (fun () -> Exp_micro.run ());
-    "sim", (fun () -> Exp_micro.sim_throughput ());
+    "sim", (fun () -> Exp_sim.run ());
   ]
 
 let usage_names table = "all" :: List.map fst table
@@ -107,7 +107,9 @@ let () =
      exit 2);
   (match trace with None -> () | Some file -> Fl_cli.install_trace file);
   (match baseline, selected with
-   | Some _, [ name ] when name <> "all" -> ()
+   | Some base, [ name ] when name <> "all" ->
+     (* Fail on an unreadable baseline now, not after the experiment. *)
+     ignore (Fl_cli.slurp base)
    | Some _, _ ->
      Printf.eprintf "--baseline needs exactly one experiment name\n";
      exit 2

@@ -43,15 +43,8 @@ let () =
   (* The histograms need the deep switch, not a sink: a --stats run should
      show the LBD/conflict-level distributions even without --trace. *)
   if !show_stats then Fl_obs.set_deep true;
-  let text =
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let t = really_input_string ic len in
-    close_in ic;
-    t
-  in
   let formula =
-    try Fl_cnf.Formula.of_dimacs text
+    try Fl_cnf.Formula.of_dimacs (Fl_cli.slurp path)
     with Fl_cnf.Formula.Dimacs_error msg ->
       Printf.eprintf "%s: %s\n" path msg;
       exit 2

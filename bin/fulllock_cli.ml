@@ -438,7 +438,7 @@ let attack_cmd =
   in
   let stats =
     Arg.(value & flag & info [ "stats" ]
-           ~doc:"Print the full metric snapshot (counters, gauges, solver \
+           ~doc:"Print the full metric snapshot (counters and solver \
                  histograms) on exit.")
   in
   Cmd.v

@@ -29,8 +29,8 @@ let take_flag flag args =
   present, List.filter (fun a -> a <> flag) args
 
 (* Whole-file slurp with the conventional "-" = stdin spelling, shared
-   by the daemon client (bench payloads travel inline over the socket)
-   and fltrace. *)
+   by the daemon client (bench payloads travel inline over the socket),
+   flsat and the baseline gate. *)
 let slurp path =
   let read_channel ic =
     let buf = Buffer.create 65536 in
@@ -69,8 +69,8 @@ let install_trace file =
   ignore (Fl_obs.add_sink (Fl_obs.jsonl_sink oc));
   at_exit (fun () -> close_out oc)
 
-(* The full snapshot: counters, gauges and histogram summaries — exactly
-   what Fl_obs.pp_snapshot prints now that histograms exist. *)
+(* The full snapshot: counters and histogram summaries, as
+   Fl_obs.pp_snapshot prints them. *)
 let print_stats () = Format.eprintf "%a" Fl_obs.pp_snapshot ()
 
 let stats_on_exit () = at_exit print_stats
@@ -91,13 +91,7 @@ module Baseline = struct
   let default_watch_higher = [ "max_clause_reduction_pct" ]
 
   let load path =
-    let ic = open_in path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match J.parse text with
+    match J.parse (slurp path) with
     | J.Jobj members -> members
     | _ -> failwith (path ^ ": expected a JSON object")
     | exception J.Parse_error msg -> failwith (path ^ ": " ^ msg)

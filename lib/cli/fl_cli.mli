@@ -28,8 +28,8 @@ val parse_jobs : string -> int
     to it, and closes it at exit. *)
 val install_trace : string -> unit
 
-(** [print_stats ()] prints the full default-registry snapshot (counters,
-    gauges, histogram summaries) to stderr. *)
+(** [print_stats ()] prints the full metric snapshot (counters and
+    histogram summaries) to stderr. *)
 val print_stats : unit -> unit
 
 (** [stats_on_exit ()] registers {!print_stats} with [at_exit]. *)
@@ -52,9 +52,9 @@ module Baseline : sig
       status summary to stdout, and returns the list of gate failures (if
       any).  [tolerance] defaults to 1.25; [watch_lower] defaults to
       [["solve_ratio_geomean"]], [watch_higher] to
-      [["max_clause_reduction_pct"]].
-      @raise Failure when either file is unreadable or not a JSON
-      object. *)
+      [["max_clause_reduction_pct"]].  Like {!slurp}, exits 2 when
+      either file cannot be read.
+      @raise Failure when either file is not a JSON object. *)
   val gate :
     ?tolerance:float ->
     ?watch_lower:string list ->

@@ -1,9 +1,5 @@
 type lit = int
 
-let neg l = -l
-let var_of_lit l = abs l
-let is_pos l = l > 0
-
 type t = {
   mutable vars : int;
   mutable clause_count : int;
@@ -74,17 +70,36 @@ let to_dimacs f =
       Buffer.add_string buf "0\n");
   Buffer.contents buf
 
-let write_dimacs f path =
-  let oc = open_out path in
-  output_string oc (to_dimacs f);
-  close_out oc
-
 exception Dimacs_error of string
 
+let tokens line =
+  String.split_on_char ' ' line
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun tok -> tok <> "")
+
+(* The header's variable count bounds every literal, so a hostile literal
+   can neither blow up the variable tables nor overflow [abs] (the range
+   test below never negates [min_int]).  The clause count is advisory. *)
 let of_dimacs text =
   let f = create () in
+  let declared = ref None in
   let current = ref [] in
+  let header line =
+    if !declared <> None then
+      raise (Dimacs_error "more than one \"p cnf\" header");
+    match tokens line with
+    | [ "p"; "cnf"; v; c ] ->
+      (match int_of_string_opt v, int_of_string_opt c with
+       | Some v, Some c when v >= 0 && c >= 0 -> declared := Some v
+       | _ -> raise (Dimacs_error (Printf.sprintf "malformed header %S" line)))
+    | _ -> raise (Dimacs_error (Printf.sprintf "malformed header %S" line))
+  in
   let handle_token token =
+    let v =
+      match !declared with
+      | Some v -> v
+      | None -> raise (Dimacs_error "clause before the \"p cnf V C\" header")
+    in
     match int_of_string_opt token with
     | None -> raise (Dimacs_error (Printf.sprintf "bad literal %S" token))
     | Some 0 ->
@@ -94,17 +109,18 @@ let of_dimacs text =
          List.iter (fun l -> reserve f (abs l)) lits;
          add_clause f (List.rev lits);
          current := [])
+    | Some l when l < -v || l > v ->
+      raise
+        (Dimacs_error
+           (Printf.sprintf "literal %d outside the %d declared variables" l v))
     | Some l -> current := l :: !current
   in
   String.split_on_char '\n' text
   |> List.iter (fun line ->
          let line = String.trim line in
-         if line = "" || line.[0] = 'c' || line.[0] = 'p' || line.[0] = '%' then ()
-         else
-           String.split_on_char ' ' line
-           |> List.concat_map (String.split_on_char '\t')
-           |> List.filter (fun tok -> tok <> "")
-           |> List.iter handle_token);
+         if line = "" || line.[0] = 'c' || line.[0] = '%' then ()
+         else if line.[0] = 'p' then header line
+         else List.iter handle_token (tokens line));
   if !current <> [] then raise (Dimacs_error "trailing clause without terminating 0");
   f
 

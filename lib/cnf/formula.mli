@@ -7,10 +7,6 @@
 
 type lit = int
 
-val neg : lit -> lit
-val var_of_lit : lit -> int
-val is_pos : lit -> bool
-
 type t
 
 val create : unit -> t
@@ -51,12 +47,16 @@ val copy : t -> t
 (** {1 DIMACS} *)
 
 val to_dimacs : t -> string
-val write_dimacs : t -> string -> unit
 
 exception Dimacs_error of string
 
-(** Parses a DIMACS [cnf] problem; tolerates missing/incorrect header
-    counts. *)
+(** Parses a DIMACS [cnf] problem.  Exactly one [p cnf V C] header, with
+    non-negative [V] and [C], must precede the first clause, and every
+    literal must lie in [[-V, V]]; the clause count [C] is not checked.
+    The formula's variable count is the largest variable that occurs.
+    @raise Dimacs_error on a missing, repeated or malformed header, a
+    literal outside the declared range, a non-numeric token, an empty
+    clause or a clause without its terminating [0]. *)
 val of_dimacs : string -> t
 
 val pp_stats : Format.formatter -> t -> unit

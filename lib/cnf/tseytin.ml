@@ -142,10 +142,6 @@ let encode ?share_inputs ?share_keys f c =
     output_vars = Array.map (fun (_, id) -> node_var.(id)) c.Circuit.outputs;
   }
 
-let assert_equal f a b =
-  Formula.add_clause f [ -a; b ];
-  Formula.add_clause f [ a; -b ]
-
 let xor_out f a b =
   let x = Formula.fresh_var f in
   encode_xor2 f ~out:x a b;

@@ -27,9 +27,6 @@ val encode_gate : Formula.t -> Fl_netlist.Gate.t -> out:int -> fanins:int array 
 val encode :
   ?share_inputs:int array -> ?share_keys:int array -> Formula.t -> Fl_netlist.Circuit.t -> encoding
 
-(** [assert_equal f a b] adds [a <-> b]. *)
-val assert_equal : Formula.t -> int -> int -> unit
-
 (** [xor_out f a b] allocates and returns [x = a XOR b]. *)
 val xor_out : Formula.t -> int -> int -> int
 

@@ -49,6 +49,8 @@ let parse_call lineno s =
         Gate.Lut tt
       | _ -> fail lineno "cannot parse gate head %S" head
     in
+    Option.iter (fail lineno "%s")
+      (Gate.fanin_count_error kind (List.length args));
     kind, args
 
 let parse_line lineno raw =

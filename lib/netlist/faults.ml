@@ -11,15 +11,12 @@ let enumerate c =
   done;
   !result
 
-let fault_override fault id =
-  if id = fault.node then
-    Some
-      { Sim_word.defined = -1; value = (if fault.stuck_at then -1 else 0) }
-  else None
-
 let detects c ~keys ~inputs fault =
-  let good = Sim_word.eval_tristate c ~inputs ~keys in
-  let faulty = Sim_word.eval_tristate ~override:(fault_override fault) c ~inputs ~keys in
+  let v = View.of_circuit c in
+  let good = View.eval_words v ~inputs ~keys in
+  let faulty =
+    View.eval_words_stuck v ~inputs ~keys ~node:fault.node ~value:fault.stuck_at
+  in
   let hit = ref false in
   Array.iteri
     (fun i g ->
@@ -27,9 +24,9 @@ let detects c ~keys ~inputs fault =
       (* Detected where the good machine settles and the faulty machine
          either settles to a different value or fails to settle. *)
       let diff =
-        g.Sim_word.defined
-        land ((f.Sim_word.defined land (g.Sim_word.value lxor f.Sim_word.value))
-              lor lnot f.Sim_word.defined)
+        g.View.defined
+        land ((f.View.defined land (g.View.value lxor f.View.value))
+              lor lnot f.View.defined)
       in
       if diff <> 0 then hit := true)
     good;

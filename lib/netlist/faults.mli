@@ -3,7 +3,8 @@
     The classic manufacturing-test model: a fault fixes one gate output (or
     primary input) at 0 or 1; a test vector {e detects} it when some primary
     output differs from the fault-free response.  Fault simulation is
-    word-parallel (63 vectors per pass, via {!Sim_word}), serial in faults.
+    word-parallel (63 vectors per pass, on {!View}'s compiled evaluator),
+    serial in faults.
 
     Logic locking interacts with testability in both directions: an
     unactivated (wrongly keyed) circuit cannot be meaningfully tested, and

@@ -131,6 +131,18 @@ let to_string = function
      | Some k -> Printf.sprintf "lut%d" k
      | None -> "lut?")
 
+let fanin_count_error kind n =
+  if valid_fanin_count kind n then None
+  else
+    Some
+      (match arity kind with
+       | Some k ->
+         Printf.sprintf "gate %s takes %d fanin%s, got %d" (to_string kind) k
+           (if k = 1 then "" else "s") n
+       | None ->
+         Printf.sprintf "gate %s takes at least 2 fanins, got %d"
+           (to_string kind) n)
+
 let of_string s =
   match String.lowercase_ascii s with
   | "input" -> Some Input

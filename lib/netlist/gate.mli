@@ -32,6 +32,11 @@ val arity : t -> int option
     [n] fanins. *)
 val valid_fanin_count : t -> int -> bool
 
+(** [fanin_count_error kind n] is [None] when {!valid_fanin_count} holds,
+    else a message for the parsers to report, e.g.
+    ["gate mux takes 3 fanins, got 1"]. *)
+val fanin_count_error : t -> int -> string option
+
 (** [eval kind inputs] evaluates the gate on concrete fanin values.
     @raise Invalid_argument on a fanin-count mismatch. *)
 val eval : t -> bool array -> bool

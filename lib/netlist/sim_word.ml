@@ -2,136 +2,8 @@ let lanes = Sys.int_size
 
 type word = View.word = { defined : int; value : int }
 
-let all_ones = -1
-let undefined = { defined = 0; value = 0 }
-let const_word b = { defined = all_ones; value = (if b then all_ones else 0) }
-
-(* Kleene strong three-valued connectives, bit-parallel. *)
-
-let word_not w = { defined = w.defined; value = lnot w.value }
-
-(* AND: defined where all operands are defined, or where some operand is a
-   defined 0. Value treats undefined operands as 1 (they cannot force 0). *)
-let word_and ws =
-  let all_def = Array.fold_left (fun acc w -> acc land w.defined) all_ones ws in
-  let forced0 = Array.fold_left (fun acc w -> acc lor (w.defined land lnot w.value)) 0 ws in
-  let value = Array.fold_left (fun acc w -> acc land (w.value lor lnot w.defined)) all_ones ws in
-  { defined = all_def lor forced0; value }
-
-let word_or ws =
-  let all_def = Array.fold_left (fun acc w -> acc land w.defined) all_ones ws in
-  let forced1 = Array.fold_left (fun acc w -> acc lor (w.defined land w.value)) 0 ws in
-  let value = Array.fold_left (fun acc w -> acc lor (w.value land w.defined)) 0 ws in
-  { defined = all_def lor forced1; value }
-
-let word_xor ws =
-  let defined = Array.fold_left (fun acc w -> acc land w.defined) all_ones ws in
-  let value = Array.fold_left (fun acc w -> acc lxor w.value) 0 ws in
-  { defined; value }
-
-(* MUX: defined where the select is defined and the chosen branch is, or
-   where both branches agree while defined. *)
-let word_mux s a b =
-  let chosen_def = s.defined land ((s.value land b.defined) lor (lnot s.value land a.defined)) in
-  let agree = a.defined land b.defined land lnot (a.value lxor b.value) in
-  (* (s ? b : a) is also right on agreement lanes, where both options are
-     equal and the (possibly undefined) select bit picks either. *)
-  let value = (s.value land b.value) lor (lnot s.value land a.value) in
-  { defined = chosen_def lor agree; value }
-
-let word_lut tt ws =
-  let k = Array.length ws in
-  (* Conservative definedness: all address bits defined. *)
-  let defined = Array.fold_left (fun acc w -> acc land w.defined) all_ones ws in
-  let value = ref 0 in
-  Array.iteri
-    (fun row v ->
-      if v then begin
-        let m = ref all_ones in
-        for j = 0 to k - 1 do
-          let bit = row land (1 lsl j) <> 0 in
-          m := !m land (if bit then ws.(j).value else lnot ws.(j).value)
-        done;
-        value := !value lor !m
-      end)
-    tt;
-  { defined; value = !value }
-
-let eval_gate kind ws =
-  match kind with
-  | Gate.Input | Gate.Key_input ->
-    invalid_arg "Sim_word: inputs carry external values"
-  | Gate.Const b -> const_word b
-  | Gate.Buf -> ws.(0)
-  | Gate.Not -> word_not ws.(0)
-  | Gate.And -> word_and ws
-  | Gate.Nand -> word_not (word_and ws)
-  | Gate.Or -> word_or ws
-  | Gate.Nor -> word_not (word_or ws)
-  | Gate.Xor -> word_xor ws
-  | Gate.Xnor -> word_not (word_xor ws)
-  | Gate.Mux -> word_mux ws.(0) ws.(1) ws.(2)
-  | Gate.Lut tt -> word_lut tt ws
-
-(* The interpretive walk survives only for the [override] path (fault
-   injection forces arbitrary node words, which the compiled evaluator does
-   not model); the plain path runs on the shared {!View} backend. *)
-let eval_tristate_override ~override c ~inputs ~keys =
-  if Array.length inputs <> Circuit.num_inputs c then
-    invalid_arg "Sim_word: input width mismatch";
-  if Array.length keys <> Circuit.num_keys c then
-    invalid_arg "Sim_word: key width mismatch";
-  let n = Circuit.num_nodes c in
-  let values = Array.make n undefined in
-  Array.iteri
-    (fun i id ->
-      values.(id) <-
-        (match override id with
-         | Some forced -> forced
-         | None -> { defined = all_ones; value = inputs.(i) }))
-    c.Circuit.inputs;
-  Array.iteri
-    (fun i id -> values.(id) <- { defined = all_ones; value = keys.(i) })
-    c.Circuit.keys;
-  let eval_node id =
-    match override id with
-    | Some forced -> forced
-    | None ->
-      let nd = Circuit.node c id in
-      (match nd.Circuit.kind with
-       | Gate.Input | Gate.Key_input -> values.(id)
-       | kind -> eval_gate kind (Array.map (fun f -> values.(f)) nd.Circuit.fanins))
-  in
-  (match Circuit.topological_order c with
-   | Some order -> Array.iter (fun id -> values.(id) <- eval_node id) order
-   | None ->
-     (* Monotone fixpoint: definedness only grows, values on defined lanes
-        are stable, so at most n*lanes sweeps — in practice a handful. *)
-     let changed = ref true in
-     let sweeps = ref 0 in
-     while !changed && !sweeps <= n do
-       changed := false;
-       incr sweeps;
-       for id = 0 to n - 1 do
-         let v = eval_node id in
-         if v.defined land lnot values.(id).defined <> 0 then begin
-           (* Merge newly defined lanes, keep previously settled ones. *)
-           let keep = values.(id).defined in
-           values.(id) <-
-             {
-               defined = keep lor v.defined;
-               value = (values.(id).value land keep) lor (v.value land lnot keep);
-             };
-           changed := true
-         end
-       done
-     done);
-  Array.map (fun (_, id) -> values.(id)) c.Circuit.outputs
-
-let eval_tristate ?override c ~inputs ~keys =
-  match override with
-  | Some override -> eval_tristate_override ~override c ~inputs ~keys
-  | None -> View.eval_words (View.of_circuit c) ~inputs ~keys
+let eval_tristate c ~inputs ~keys =
+  View.eval_words (View.of_circuit c) ~inputs ~keys
 
 let eval c ~inputs ~keys = View.eval_packed (View.of_circuit c) ~inputs ~keys
 

@@ -16,15 +16,8 @@ type word = View.word = { defined : int; value : int }
 
 (** [eval_tristate c ~inputs ~keys] — packed counterpart of
     {!Sim.eval_tristate}; input/key words are treated as fully defined.
-    [override] (fault injection, forced values) replaces a node's computed
-    word when it returns [Some].
     @raise Invalid_argument on width mismatch. *)
-val eval_tristate :
-  ?override:(int -> word option) ->
-  Circuit.t ->
-  inputs:int array ->
-  keys:int array ->
-  word array
+val eval_tristate : Circuit.t -> inputs:int array -> keys:int array -> word array
 
 (** [eval c ~inputs ~keys] — packed outputs.
     @raise Sim.Unresolved when any lane of any output is undefined. *)

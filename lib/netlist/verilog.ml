@@ -384,7 +384,11 @@ let parse_statements p =
       let operands = args [] in
       expect_punct p ';';
       (match operands with
-       | out :: ins when ins <> [] -> statements := S_gate (prim, out, ins) :: !statements
+       | out :: ins when ins <> [] ->
+         let kind = Option.get (primitive_of_string prim) in
+         Option.iter (fail line "%s")
+           (Gate.fanin_count_error kind (List.length ins));
+         statements := S_gate (prim, out, ins) :: !statements
        | _ -> fail line "gate needs an output and at least one input");
       loop ()
     | Tok_ident other, line -> fail line "unsupported construct %S" other

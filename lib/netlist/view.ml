@@ -2,8 +2,8 @@ type tristate = V0 | V1 | VX
 
 exception Unresolved of string
 
-(* Observability: build/eval counters and per-memo hit/miss rates, all in
-   the default Fl_obs registry.  Counters are bare int cells, so the hot
+(* Observability: build/eval counters and per-memo hit/miss rates, all
+   Fl_obs counters.  Counters are bare int cells, so the hot
    paths pay one increment per *evaluation pass* (never per node). *)
 let c_builds = Fl_obs.Counter.make "view.builds"
 let c_cache_hits = Fl_obs.Counter.make "view.cache.hit"
@@ -470,7 +470,7 @@ let run v =
     done;
     Fl_obs.Counter.add c_fixpoint_sweeps !sweeps
 
-let run_packed v ~inputs ~keys =
+let load_packed v ~inputs ~keys =
   check_widths v ~inputs:(Array.length inputs) ~keys:(Array.length keys);
   reset v;
   let c = v.circuit in
@@ -483,7 +483,10 @@ let run_packed v ~inputs ~keys =
     (fun i id ->
       v.defined.(id) <- all_ones;
       v.value.(id) <- keys.(i))
-    c.Circuit.keys;
+    c.Circuit.keys
+
+let run_packed v ~inputs ~keys =
+  load_packed v ~inputs ~keys;
   run v
 
 let run_bools v ~inputs ~keys =
@@ -523,11 +526,24 @@ let eval_node_values v ~inputs ~keys =
   run_bools v ~inputs ~keys;
   Array.init (Circuit.num_nodes v.circuit) (tristate_of v)
 
-let eval_words v ~inputs ~keys =
-  run_packed v ~inputs ~keys;
+let output_words v =
   Array.map
     (fun (_, id) -> { defined = v.defined.(id); value = v.value.(id) })
     v.circuit.Circuit.outputs
+
+let eval_words v ~inputs ~keys =
+  run_packed v ~inputs ~keys;
+  output_words v
+
+(* A stuck-at fault is a node loaded like an input: [step] never changes a
+   node that is preset fully defined, so the fault site keeps its constant
+   through the forward pass or the fixpoint. *)
+let eval_words_stuck v ~inputs ~keys ~node ~value =
+  load_packed v ~inputs ~keys;
+  v.defined.(node) <- all_ones;
+  v.value.(node) <- (if value then all_ones else 0);
+  run v;
+  output_words v
 
 let eval_packed v ~inputs ~keys =
   run_packed v ~inputs ~keys;

@@ -126,6 +126,12 @@ val eval_node_values :
     vectors at once; input/key words are treated as fully defined. *)
 val eval_words : t -> inputs:int array -> keys:int array -> word array
 
+(** [eval_words_stuck v ~inputs ~keys ~node ~value] is {!eval_words} with
+    node [node] held at [value] on every lane — the faulty machine of a
+    stuck-at fault at [node] (a gate output or an input wire). *)
+val eval_words_stuck :
+  t -> inputs:int array -> keys:int array -> node:int -> value:bool -> word array
+
 (** [eval_packed v ~inputs ~keys] — packed outputs.
     @raise Unresolved when any lane of any output is undefined. *)
 val eval_packed : t -> inputs:int array -> keys:int array -> int array

@@ -7,12 +7,11 @@
 
    Domain-safety (the Fl_par sweeps run attacks on worker domains):
    counters and histograms stripe their cells by domain id, so concurrent
-   increments land on (mostly) distinct atomics and a read merges the
-   stripes — the "per-domain registries merged at join" design, with the
-   merge done on every read so nothing is lost if a domain is still
-   running.  Sink installation publishes through an [Atomic.t] and event
-   delivery is serialized by a mutex, keeping JSONL lines whole under
-   parallel emission.  Span depth is domain-local state. *)
+   increments land on (mostly) distinct atomics and every read merges the
+   stripes, so nothing is lost if a domain is still running.  Sink
+   installation publishes through an [Atomic.t] and event delivery is
+   serialized by a mutex, keeping JSONL lines whole under parallel
+   emission.  Span depth is domain-local state. *)
 
 type value = Int of int | Float of float | String of string | Bool of bool
 
@@ -309,12 +308,6 @@ module Json = struct
     add_json buf j;
     Buffer.contents buf
 
-  let of_value = function
-    | Int i -> Jint i
-    | Float f -> Jfloat f
-    | String s -> Jstring s
-    | Bool b -> Jbool b
-
   let member k = function Jobj ms -> List.assoc_opt k ms | _ -> None
 
   let number = function
@@ -442,7 +435,7 @@ let set_deep b = Atomic.set deep b
 let deep_enabled () = Atomic.get deep
 
 (* ------------------------------------------------------------------ *)
-(* Registries, counters, gauges, histograms                            *)
+(* Counters and histograms                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Counters are striped: each domain increments the atomic cell its id
@@ -457,53 +450,39 @@ let stripe_index () = (Domain.self () :> int) land (stripes - 1)
    bits, so 64 buckets cover the whole int range. *)
 let hist_buckets = 64
 
-(* The raw striped cell grid lives outside module [Hist] so the registry's
-   metric type can mention it before [Hist] (which needs [Json]) is
+(* The raw striped cell grid lives outside module [Hist] so the metric
+   table's type can mention it before [Hist] (which needs [Json]) is
    defined. *)
 type hist_cells = {
   hist_scale : float; (* display multiplier: value * scale = display units *)
   hist_grid : int Atomic.t array array; (* stripes x buckets *)
 }
 
-module Registry = struct
-  type metric =
-    | Mcounter of int Atomic.t array
-    | Mgauge of float Atomic.t
-    | Mhist of hist_cells
+(* One global metric table.  [make] is idempotent per name, so modules
+   declare their metrics at top level without coordination; asking for a
+   name under the other metric kind is a programming error. *)
+type metric = Mcounter of int Atomic.t array | Mhist of hist_cells
 
-  type t = {
-    rname : string;
-    metrics : (string, metric) Hashtbl.t;
-    lock : Mutex.t;  (* guards [metrics]; creation/snapshot only *)
-  }
+let metrics : (string, metric) Hashtbl.t = Hashtbl.create 64
+let metrics_lock = Mutex.create () (* guards [metrics]; creation/snapshot only *)
 
-  let create rname =
-    { rname; metrics = Hashtbl.create 32; lock = Mutex.create () }
-
-  let default = create "fl"
-  let name r = r.rname
-
-  let locked r f =
-    Mutex.lock r.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
-end
+let locked f =
+  Mutex.lock metrics_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock metrics_lock) f
 
 module Counter = struct
   type t = int Atomic.t array
 
-  let make ?(registry = Registry.default) name =
-    Registry.locked registry (fun () ->
-        match Hashtbl.find_opt registry.Registry.metrics name with
-        | Some (Registry.Mcounter c) -> c
-        | Some (Registry.Mgauge _) ->
-          invalid_arg
-            (Printf.sprintf "Fl_obs.Counter.make: %S is a gauge" name)
-        | Some (Registry.Mhist _) ->
+  let make name =
+    locked (fun () ->
+        match Hashtbl.find_opt metrics name with
+        | Some (Mcounter c) -> c
+        | Some (Mhist _) ->
           invalid_arg
             (Printf.sprintf "Fl_obs.Counter.make: %S is a histogram" name)
         | None ->
           let c = Array.init stripes (fun _ -> Atomic.make 0) in
-          Hashtbl.add registry.Registry.metrics name (Registry.Mcounter c);
+          Hashtbl.add metrics name (Mcounter c);
           c)
 
   let incr c = Atomic.incr c.(stripe_index ())
@@ -511,42 +490,18 @@ module Counter = struct
   let value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c
 end
 
-module Gauge = struct
-  type t = float Atomic.t
-
-  let make ?(registry = Registry.default) name =
-    Registry.locked registry (fun () ->
-        match Hashtbl.find_opt registry.Registry.metrics name with
-        | Some (Registry.Mgauge g) -> g
-        | Some (Registry.Mcounter _) ->
-          invalid_arg
-            (Printf.sprintf "Fl_obs.Gauge.make: %S is a counter" name)
-        | Some (Registry.Mhist _) ->
-          invalid_arg
-            (Printf.sprintf "Fl_obs.Gauge.make: %S is a histogram" name)
-        | None ->
-          let g = Atomic.make 0.0 in
-          Hashtbl.add registry.Registry.metrics name (Registry.Mgauge g);
-          g)
-
-  let set g v = Atomic.set g v
-  let value g = Atomic.get g
-end
-
 module Hist = struct
   type t = hist_cells
 
   type snap = { hname : string; hscale : float; hbuckets : int array }
 
-  let make ?(registry = Registry.default) ?(scale = 1.0) name =
-    Registry.locked registry (fun () ->
-        match Hashtbl.find_opt registry.Registry.metrics name with
-        | Some (Registry.Mhist h) -> h
-        | Some (Registry.Mcounter _) ->
+  let make ?(scale = 1.0) name =
+    locked (fun () ->
+        match Hashtbl.find_opt metrics name with
+        | Some (Mhist h) -> h
+        | Some (Mcounter _) ->
           invalid_arg
             (Printf.sprintf "Fl_obs.Hist.make: %S is a counter" name)
-        | Some (Registry.Mgauge _) ->
-          invalid_arg (Printf.sprintf "Fl_obs.Hist.make: %S is a gauge" name)
         | None ->
           let h =
             {
@@ -556,7 +511,7 @@ module Hist = struct
                     Array.init hist_buckets (fun _ -> Atomic.make 0));
             }
           in
-          Hashtbl.add registry.Registry.metrics name (Registry.Mhist h);
+          Hashtbl.add metrics name (Mhist h);
           h)
 
   (* Significant-bit count by binary steps — a handful of shifts, no loop
@@ -653,17 +608,6 @@ module Hist = struct
     Array.iteri (fun i n -> if n > 0 then top := i) s.hbuckets;
     upper_bound s !top
 
-  let merge a b =
-    if a.hscale <> b.hscale then
-      invalid_arg
-        (Printf.sprintf "Fl_obs.Hist.merge: scales differ (%s vs %s)"
-           (Json.float_str a.hscale) (Json.float_str b.hscale));
-    {
-      hname = a.hname;
-      hscale = a.hscale;
-      hbuckets = Array.init hist_buckets (fun i -> a.hbuckets.(i) + b.hbuckets.(i));
-    }
-
   (* JSON rendering: summary statistics plus the sparse bucket array keyed
      by bucket index, so the exact distribution round-trips. *)
   let json s =
@@ -695,65 +639,39 @@ module Hist = struct
     Buffer.add_string buf "}}";
     Buffer.contents buf
 
-  let of_json ~name j =
-    let scale =
-      match Option.bind (Json.member "scale" j) Json.number with
-      | Some s -> s
-      | None -> raise (Json.Parse_error "histogram: missing scale")
-    in
-    let buckets = Array.make hist_buckets 0 in
-    (match Json.member "buckets" j with
-     | Some (Json.Jobj members) ->
-       List.iter
-         (fun (k, v) ->
-           let i =
-             try int_of_string k
-             with _ ->
-               raise (Json.Parse_error "histogram: non-integer bucket key")
-           in
-           if i < 0 || i >= hist_buckets then
-             raise (Json.Parse_error "histogram: bucket index out of range");
-           match v with
-           | Json.Jint n -> buckets.(i) <- n
-           | _ -> raise (Json.Parse_error "histogram: non-integer count"))
-         members
-     | _ -> raise (Json.Parse_error "histogram: missing buckets"));
-    { hname = name; hscale = scale; hbuckets = buckets }
 end
 
-let snapshot ?(registry = Registry.default) () =
-  Registry.locked registry (fun () ->
+let snapshot () =
+  locked (fun () ->
       Hashtbl.fold
         (fun name m acc ->
           match m with
-          | Registry.Mcounter c -> (name, Int (Counter.value c)) :: acc
-          | Registry.Mgauge g -> (name, Float (Atomic.get g)) :: acc
-          | Registry.Mhist _ -> acc (* see hist_snapshot *))
-        registry.Registry.metrics [])
+          | Mcounter c -> (name, Int (Counter.value c)) :: acc
+          | Mhist _ -> acc (* see hist_snapshot *))
+        metrics [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let hist_snapshot ?(registry = Registry.default) () =
-  Registry.locked registry (fun () ->
+let hist_snapshot () =
+  locked (fun () ->
       Hashtbl.fold
         (fun name m acc ->
           match m with
-          | Registry.Mhist h -> Hist.read_cells name h :: acc
-          | Registry.Mcounter _ | Registry.Mgauge _ -> acc)
-        registry.Registry.metrics [])
+          | Mhist h -> Hist.read_cells name h :: acc
+          | Mcounter _ -> acc)
+        metrics [])
   |> List.sort (fun a b -> compare a.Hist.hname b.Hist.hname)
 
-let reset_metrics ?(registry = Registry.default) () =
-  Registry.locked registry (fun () ->
+let reset_metrics () =
+  locked (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m with
-          | Registry.Mcounter c -> Array.iter (fun cell -> Atomic.set cell 0) c
-          | Registry.Mgauge g -> Atomic.set g 0.0
-          | Registry.Mhist h ->
+          | Mcounter c -> Array.iter (fun cell -> Atomic.set cell 0) c
+          | Mhist h ->
             Array.iter
               (fun row -> Array.iter (fun cell -> Atomic.set cell 0) row)
               h.hist_grid)
-        registry.Registry.metrics)
+        metrics)
 
 let pp_snapshot fmt () =
   List.iter
@@ -781,21 +699,6 @@ let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let depth () = Domain.DLS.get depth_key
 
-let span_depth () = !(depth ())
-
-(* GC gauges sampled when a top-level span closes — cheap (Gc.quick_stat),
-   and a top-level span exit is exactly the "one experiment / one attack
-   finished" moment the bench reports want a heap picture of. *)
-let gc_minor_words = Gauge.make "gc.minor_words"
-let gc_major_words = Gauge.make "gc.major_words"
-let gc_top_heap_words = Gauge.make "gc.top_heap_words"
-
-let sample_gc () =
-  let g = Gc.quick_stat () in
-  Gauge.set gc_minor_words g.Gc.minor_words;
-  Gauge.set gc_major_words g.Gc.major_words;
-  Gauge.set gc_top_heap_words (float_of_int g.Gc.top_heap_words)
-
 let with_span ?(fields = []) name f =
   if not (enabled ()) then f ()
   else begin
@@ -811,7 +714,6 @@ let with_span ?(fields = []) name f =
       ~finally:(fun () ->
         decr depth;
         let dur = Unix.gettimeofday () -. t0 in
-        if d = 0 then sample_gc ();
         emit
           ~fields:
             (("depth", Int d)
@@ -829,9 +731,8 @@ let with_span ?(fields = []) name f =
 module Profile = struct
   (* A calling-context tree: one node per (path of span names), with
      per-domain open-span stacks so interleaved worker-domain traces
-     attribute time to the right parent.  Feed it events either live (as a
-     sink — delivery is already serialized by the sink mutex) or offline
-     from a JSONL trace. *)
+     attribute time to the right parent.  Fed one event at a time by the
+     trace reader (fltrace). *)
 
   type node = {
     nname : string;
@@ -919,25 +820,6 @@ module Profile = struct
          if List.exists (fun n -> n.nname = name) !st then pop !st
          else p.punmatched <- p.punmatched + 1)
 
-  let sink p : sink = fun e -> add_event p e
-
-  let of_jsonl_file path =
-    let p = create () in
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match Json.of_string line with
-              | e -> add_event p e
-              | exception Json.Parse_error _ -> ()
-          done
-        with End_of_file -> ());
-    p
-
   type tree = {
     tname : string;
     calls : int;
@@ -989,26 +871,3 @@ end
 let jsonl_sink oc e =
   output_string oc (Json.to_string e);
   output_char oc '\n'
-
-let console_sink ?(oc = stderr) () e =
-  let tm = Unix.localtime e.ts in
-  let ms = int_of_float ((e.ts -. Float.of_int (int_of_float e.ts)) *. 1000.0) in
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf
-    (Printf.sprintf "%02d:%02d:%02d.%03d %s" tm.Unix.tm_hour tm.Unix.tm_min
-       tm.Unix.tm_sec ms e.name);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf
-        (match v with
-         | Int i -> string_of_int i
-         | Float f -> Printf.sprintf "%g" f
-         | String s -> s
-         | Bool b -> string_of_bool b))
-    e.fields;
-  Buffer.add_char buf '\n';
-  output_string oc (Buffer.contents buf);
-  flush oc

@@ -1,13 +1,13 @@
-(** Structured observability: counters, gauges, histograms, timed spans,
-    span profiles and an event stream with pluggable sinks.
+(** Structured observability: counters, histograms, timed spans, span
+    profiles and an event stream with pluggable sinks.
 
     The whole stack (solver, attacks, view layer, benches) reports through
     this module.  The design contract is {e zero overhead when no sink is
     installed}: {!emit} and {!with_span} reduce to two atomic loads and a
     branch when neither a global nor a scoped sink exists, and callers are
-    expected to guard field-list construction with {!enabled}.  Counters, gauges and histograms are striped atomic
-    cells — an increment is one uncontended atomic add whether or not
-    anything is observing.
+    expected to guard field-list construction with {!enabled}.  Counters
+    and histograms are striped atomic cells — an increment is one
+    uncontended atomic add whether or not anything is observing.
 
     The module is domain-safe (the [Fl_par] sweeps run attacks on worker
     domains): counter and histogram increments stripe by domain id and
@@ -72,10 +72,6 @@ val enabled : unit -> bool
     (see {!Json.to_string} for the schema).  The caller owns [oc]. *)
 val jsonl_sink : out_channel -> sink
 
-(** [console_sink ?oc ()] writes human-readable one-liners
-    ([HH:MM:SS.mmm name k=v ...]) to [oc] (default [stderr]). *)
-val console_sink : ?oc:out_channel -> unit -> sink
-
 (** [emit ?fields name] sends an event to every sink; a no-op (single
     branch) when none is installed. *)
 val emit : ?fields:(string * value) list -> string -> unit
@@ -99,22 +95,17 @@ val deep_enabled : unit -> bool
     exception-safely; with no sink it is a bare call to [f].  [depth] is 0
     for top-level spans and grows with nesting; [domain] is the emitting
     domain's id, which lets {!Profile} keep interleaved worker stacks
-    separate.  When a top-level span closes, the [gc.minor_words],
-    [gc.major_words] and [gc.top_heap_words] gauges are refreshed from
-    [Gc.quick_stat]. *)
+    separate. *)
 
 val with_span :
   ?fields:(string * value) list -> string -> (unit -> 'a) -> 'a
 
-(** Current span nesting depth (0 outside any span). *)
-val span_depth : unit -> int
+(** {1 Counters and histograms}
 
-(** {1 Counters, gauges and histograms}
-
-    Metrics live in named registries; {!Registry.default} ("fl") is where
-    the library layers register.  [make] is idempotent per (registry, name):
-    asking again returns the same cell, so modules can declare their
-    counters at top level without coordination.
+    Metrics live in one global table keyed by name.  [make] is idempotent
+    per name: asking again returns the same cell, so modules can declare
+    their counters at top level without coordination.  A name belongs to
+    one kind; asking for it as the other kind raises [Invalid_argument].
 
     Counters and histograms are domain-safe: increments go to a per-domain
     stripe of atomic cells and {!Counter.value} / {!snapshot} /
@@ -122,32 +113,15 @@ val span_depth : unit -> int
     is merged into the global totals (the merge happens on every read —
     nothing is deferred to a join). *)
 
-module Registry : sig
-  type t
-
-  val create : string -> t
-  val default : t
-  val name : t -> string
-end
-
 module Counter : sig
   type t
 
-  (** [make ?registry name] is the (registry, name) counter, created at 0 on
-      first use. *)
-  val make : ?registry:Registry.t -> string -> t
+  (** [make name] is the counter [name], created at 0 on first use. *)
+  val make : string -> t
 
   val incr : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-end
-
-module Gauge : sig
-  type t
-
-  val make : ?registry:Registry.t -> string -> t
-  val set : t -> float -> unit
-  val value : t -> float
 end
 
 (** {1 JSONL encoding} *)
@@ -197,9 +171,6 @@ module Json : sig
       (the [Fl_serve] protocol frames). *)
   val encode : t -> string
 
-  (** [of_value v] lifts an event field value into the tree. *)
-  val of_value : value -> t
-
   (** [value_to_string v] is the JSON encoding of one scalar (for builders
       of larger JSON documents, e.g. the bench reports). *)
   val value_to_string : value -> string
@@ -224,10 +195,9 @@ module Hist : sig
   (** Merged read-side snapshot: total counts per bucket. *)
   type snap = { hname : string; hscale : float; hbuckets : int array }
 
-  (** [make ?registry ?scale name] is the (registry, name) histogram,
-      created empty on first use.  [scale] defaults to [1.0] and is fixed
-      at creation. *)
-  val make : ?registry:Registry.t -> ?scale:float -> string -> t
+  (** [make ?scale name] is the histogram [name], created empty on first
+      use.  [scale] defaults to [1.0] and is fixed at creation. *)
+  val make : ?scale:float -> string -> t
 
   (** [record h v] adds one sample: a single atomic increment. *)
   val record : t -> int -> unit
@@ -259,39 +229,26 @@ module Hist : sig
       bucket (0 when empty). *)
   val max_value : snap -> float
 
-  (** [upper_bound s i] is bucket [i]'s largest representable value in
-      display units (0 for bucket 0). *)
-  val upper_bound : snap -> int -> float
-
-  (** [merge a b] sums bucket counts pointwise; keeps [a]'s name.
-      @raise Invalid_argument when the scales differ. *)
-  val merge : snap -> snap -> snap
-
   (** [json s] renders [{"count":..,"sum":..,"p50":..,"p90":..,"p99":..,
       "max":..,"scale":..,"buckets":{"<index>":<count>,..}}] — summary
-      statistics plus the sparse bucket vector, so {!of_json} recovers the
-      exact distribution. *)
+      statistics plus the sparse bucket vector of the exact
+      distribution. *)
   val json : snap -> string
-
-  (** [of_json ~name j] reads back what {!json} wrote.
-      @raise Json.Parse_error on missing or malformed members. *)
-  val of_json : name:string -> Json.t -> snap
 end
 
-(** [snapshot ?registry ()] is every counter and gauge of the registry as
-    (name, value) pairs, sorted by name.  Counters snapshot as [Int],
-    gauges as [Float].  Histograms are excluded (see {!hist_snapshot}). *)
-val snapshot : ?registry:Registry.t -> unit -> (string * value) list
+(** [snapshot ()] is every counter as (name, [Int] value) pairs, sorted
+    by name.  Histograms are excluded (see {!hist_snapshot}). *)
+val snapshot : unit -> (string * value) list
 
-(** [hist_snapshot ?registry ()] is every histogram of the registry as a
-    merged snapshot, sorted by name. *)
-val hist_snapshot : ?registry:Registry.t -> unit -> Hist.snap list
+(** [hist_snapshot ()] is every histogram as a merged snapshot, sorted by
+    name. *)
+val hist_snapshot : unit -> Hist.snap list
 
-(** [reset_metrics ?registry ()] zeroes every counter, gauge and histogram
-    (for benchmark isolation; existing handles stay valid). *)
-val reset_metrics : ?registry:Registry.t -> unit -> unit
+(** [reset_metrics ()] zeroes every counter and histogram (for benchmark
+    isolation; existing handles stay valid). *)
+val reset_metrics : unit -> unit
 
-(** [pp_snapshot fmt ()] prints the default registry's snapshot — one
+(** [pp_snapshot fmt ()] prints the snapshot — one
     [name = value] per line, histograms as count/p50/p99/max summaries. *)
 val pp_snapshot : Format.formatter -> unit -> unit
 
@@ -304,10 +261,9 @@ val pp_snapshot : Format.formatter -> unit -> unit
     Per-domain open-span stacks (from the events' [domain] field) keep
     interleaved worker-domain traces attributed to the right parents.
 
-    Feed a profile live with {!Profile.sink} (delivery is serialized by
-    the sink lock) or offline with {!Profile.of_jsonl_file}; then read it
-    with {!Profile.roots} / {!Profile.flame}.  Reading while events are
-    still being fed is a race — detach the sink first. *)
+    Feed a profile one event at a time with {!Profile.add_event} (the
+    [fltrace] analyzer does so while reading a JSONL trace), then read it
+    with {!Profile.roots} / {!Profile.flame}. *)
 
 module Profile : sig
   type t
@@ -318,13 +274,6 @@ module Profile : sig
       are ignored.  An end without a matching begin (truncated trace) is
       dropped and counted in {!unmatched}. *)
   val add_event : t -> event -> unit
-
-  (** [sink p] is [add_event p] as an installable sink. *)
-  val sink : t -> sink
-
-  (** [of_jsonl_file path] builds a profile from a JSONL trace, skipping
-      unparsable lines. *)
-  val of_jsonl_file : string -> t
 
   (** Immutable aggregation tree, children sorted by total time
       descending. *)

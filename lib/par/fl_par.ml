@@ -72,7 +72,6 @@ let c_batches = Fl_obs.Counter.make "par.batches"
 let h_queue_wait = Fl_obs.Hist.make ~scale:1e-6 "par.queue_wait_s"
 
 let jobs p = p.jobs
-let name p = p.pname
 let last_stats p = p.last
 
 let locked p f =
@@ -335,11 +334,8 @@ let run p ?timeout ?(retries = 0) fs =
     results
   end
 
-let map p ?timeout ?retries f xs =
-  run p ?timeout ?retries (Array.map (fun x () -> f x) xs)
-
-let map_list p ?timeout ?retries f xs =
-  Array.to_list (map p ?timeout ?retries f (Array.of_list xs))
+let map_list p f xs =
+  Array.to_list (run p (Array.of_list (List.map (fun x () -> f x) xs)))
 
 let value = function Done v | Late (v, _) -> Some v | Failed _ | Cancelled -> None
 
@@ -348,7 +344,3 @@ let get = function
   | Failed (msg, attempts) ->
     failwith (Printf.sprintf "Fl_par: task failed after %d attempts: %s" attempts msg)
   | Cancelled -> failwith "Fl_par: task cancelled"
-
-let map_reduce p ?timeout ?retries ~map:f ~reduce ~init xs =
-  let outcomes = map_list p ?timeout ?retries f xs in
-  List.fold_left (fun acc o -> reduce acc (get o)) init outcomes

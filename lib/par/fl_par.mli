@@ -2,7 +2,7 @@
 
     A pool is a fixed set of worker domains pulling tasks from a shared
     queue.  One batch at a time is submitted through {!run} (or the
-    {!map} / {!map_reduce} conveniences); results land by {e task index},
+    {!map_list} convenience); results land by {e task index},
     so the output order is deterministic regardless of completion order,
     and a [jobs = 1] pool executes every task inline on the calling
     domain in index order — bit-for-bit the sequential behaviour.
@@ -65,7 +65,6 @@ type batch_stats = {
 val create : ?name:string -> jobs:int -> unit -> t
 
 val jobs : t -> int
-val name : t -> string
 
 (** [run p ?timeout ?retries tasks] executes every task and returns their
     outcomes by index.  [timeout] is the per-task soft deadline in
@@ -75,23 +74,9 @@ val name : t -> string
 val run :
   t -> ?timeout:float -> ?retries:int -> (unit -> 'a) array -> 'a outcome array
 
-(** [map p f xs] is [run p (fun () -> f x) per x]. *)
-val map :
-  t -> ?timeout:float -> ?retries:int -> ('a -> 'b) -> 'a array ->
-  'b outcome array
-
-val map_list :
-  t -> ?timeout:float -> ?retries:int -> ('a -> 'b) -> 'a list ->
-  'b outcome list
-
-(** [map_reduce p ~map ~reduce ~init xs] maps in parallel and folds the
-    results sequentially in index order, so it equals
-    [List.fold_left reduce init (List.map map xs)] whenever no task
-    fails.  Late results fold like [Done] ones.
-    @raise Failure when any task fails or is cancelled. *)
-val map_reduce :
-  t -> ?timeout:float -> ?retries:int -> map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
+(** [map_list p f xs] is [run p] over one task [fun () -> f x] per [x],
+    with no timeout and no retries. *)
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b outcome list
 
 (** Accounting of the most recent finished batch (zeros before any). *)
 val last_stats : t -> batch_stats

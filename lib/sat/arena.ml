@@ -88,7 +88,6 @@ let kill a c =
 
 let num_clauses a = a.clauses
 let num_learnts a = a.learnts
-let words a = a.size
 let wasted a = a.wasted
 
 let iter a f =
@@ -131,20 +130,3 @@ let compact a =
   fun cref ->
     if cref < 0 || cref >= old_size || old.(cref) land 2 <> 0 then Cref.none
     else old.(cref + 1)
-
-(* O(1) snapshot/restore for append-only phases: [mark] records the
-   allocation frontier and counters; [restore] truncates back to it,
-   dropping every clause allocated since.  Only valid when no pre-mark
-   clause was killed and no compaction ran in between — the counters are
-   reset, not recomputed. *)
-type snapshot = { s_size : int; s_clauses : int; s_learnts : int; s_wasted : int }
-
-let mark a =
-  { s_size = a.size; s_clauses = a.clauses; s_learnts = a.learnts; s_wasted = a.wasted }
-
-let restore a snap =
-  if snap.s_size > a.size then invalid_arg "Arena.restore: stale snapshot";
-  a.size <- snap.s_size;
-  a.clauses <- snap.s_clauses;
-  a.learnts <- snap.s_learnts;
-  a.wasted <- snap.s_wasted

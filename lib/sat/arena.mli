@@ -11,7 +11,7 @@
 module Cref : sig
   (** A clause reference: the clause's word offset in the arena.  Crefs
       are stable under {!alloc} and {!kill} but invalidated by
-      {!compact} (use the returned remap) and {!restore}. *)
+      {!compact} (use the returned remap). *)
   type t = int
 
   (** Sentinel for "no clause" (reason slots, remap of a dead cref). *)
@@ -29,7 +29,6 @@ val alloc : t -> learnt:bool -> int array -> Cref.t
 
 val size : t -> Cref.t -> int
 val learnt : t -> Cref.t -> bool
-val is_dead : t -> Cref.t -> bool
 
 (** [lit a c i] is the [i]-th literal (packed, {!Lit.t} encoding). *)
 val lit : t -> Cref.t -> int -> int
@@ -49,9 +48,6 @@ val kill : t -> Cref.t -> unit
 val num_clauses : t -> int
 val num_learnts : t -> int
 
-(** Words allocated (live + dead). *)
-val words : t -> int
-
 (** Words held by dead clauses. *)
 val wasted : t -> int
 
@@ -68,14 +64,3 @@ val lits : t -> Cref.t -> int array
     arena must be remapped; the remap is valid until the next
     [compact]. *)
 val compact : t -> Cref.t -> Cref.t
-
-(** O(1) snapshot of an append-only arena. *)
-type snapshot
-
-val mark : t -> snapshot
-
-(** [restore a s] drops every clause allocated since [mark].  Only valid
-    when no pre-mark clause was killed and no compaction ran since.
-    @raise Invalid_argument when the snapshot is stale (a compaction
-    shrank the arena below the mark). *)
-val restore : t -> snapshot -> unit

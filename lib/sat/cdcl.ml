@@ -280,7 +280,6 @@ let create () =
 let num_vars s = s.nvars
 let num_clauses s = Arena.num_clauses s.arena
 let num_learnts s = Arena.num_learnts s.arena
-let arena_words s = Arena.words s.arena
 
 let ensure_vars s n =
   if n > s.nvars then begin
@@ -765,8 +764,8 @@ let record_conflict_stats s learnt =
     (fun l ->
       let lv = s.level.(var_of l) in
       if lv >= Array.length s.lbd_seen then begin
-        (* levels can outgrow the var arrays only via repeated-assumption
-           dummy levels; grow lazily rather than burden ensure_vars *)
+        (* the scratch starts small and grows to the deepest level seen,
+           rather than burdening ensure_vars *)
         let cap = max (lv + 1) (2 * Array.length s.lbd_seen) in
         let a = Array.make cap 0 in
         Array.blit s.lbd_seen 0 a 0 (Array.length s.lbd_seen);
@@ -786,7 +785,7 @@ let record_conflict_stats s learnt =
 
 exception Found of outcome
 
-let search s assumptions budget conflict_budget start_conflicts =
+let search s budget conflict_budget start_conflicts =
   let conflicts_this_run = ref 0 in
   try
     while true do
@@ -843,38 +842,23 @@ let search s assumptions budget conflict_budget start_conflicts =
             reduce_db s;
           raise Exit
         end;
-        let dl = decision_level s in
-        if dl < List.length assumptions then begin
-          let a = List.nth assumptions dl in
-          match value_lit s a with
-          | 1 ->
-            Vec.push s.trail_lim (Vec.size s.trail)
-            (* dummy level: keeps assumption index = level *)
-          | 0 -> raise (Found Unsat)
-          | _ ->
-            Vec.push s.trail_lim (Vec.size s.trail);
-            s.n_decisions <- s.n_decisions + 1;
-            enqueue s a Arena.Cref.none
-        end
-        else begin
-          (* Pick an unassigned variable by activity. *)
-          let rec pick () =
-            if Heap.is_empty s.heap then -1
-            else begin
-              let v = Heap.pop s.heap in
-              if Lit.Lbool.is_undef (value_var s v) then v else pick ()
-            end
-          in
-          let v = pick () in
-          if v < 0 then raise (Found Sat)
+        (* Pick an unassigned variable by activity. *)
+        let rec pick () =
+          if Heap.is_empty s.heap then -1
           else begin
-            let phase_true = Bytes.get s.polarity v = '\001' in
-            let l = (2 * v) lor (if phase_true then 0 else 1) in
-            Vec.push s.trail_lim (Vec.size s.trail);
-            if decision_level s > s.max_dl then s.max_dl <- decision_level s;
-            s.n_decisions <- s.n_decisions + 1;
-            enqueue s l Arena.Cref.none
+            let v = Heap.pop s.heap in
+            if Lit.Lbool.is_undef (value_var s v) then v else pick ()
           end
+        in
+        let v = pick () in
+        if v < 0 then raise (Found Sat)
+        else begin
+          let phase_true = Bytes.get s.polarity v = '\001' in
+          let l = (2 * v) lor (if phase_true then 0 else 1) in
+          Vec.push s.trail_lim (Vec.size s.trail);
+          if decision_level s > s.max_dl then s.max_dl <- decision_level s;
+          s.n_decisions <- s.n_decisions + 1;
+          enqueue s l Arena.Cref.none
         end
       end
     done;
@@ -883,9 +867,7 @@ let search s assumptions budget conflict_budget start_conflicts =
   | Found r -> Some r
   | Exit -> None
 
-let solve ?(assumptions = []) ?(budget = no_budget) s =
-  List.iter (fun l -> ensure_vars s (abs l)) assumptions;
-  let assumptions = List.map lit_of_dimacs assumptions in
+let solve ?(budget = no_budget) s =
   cancel_until s 0;
   if not s.ok then Unsat
   else begin
@@ -894,7 +876,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) s =
       if out_of_budget budget s start_conflicts then Unknown
       else begin
         let conflict_budget = restart_base * luby s i in
-        match search s assumptions budget conflict_budget start_conflicts with
+        match search s budget conflict_budget start_conflicts with
         | Some r -> r
         | None -> run (i + 1)
       end
@@ -945,11 +927,6 @@ let set_progress s ~every cb =
   s.progress_next <- s.n_conflicts + every;
   s.progress_mark <- stats s;
   s.progress_cb <- cb
-
-let clear_progress s =
-  s.progress_every <- 0;
-  s.progress_next <- max_int;
-  s.progress_cb <- ignore
 
 let pp_stats fmt st =
   Format.fprintf fmt

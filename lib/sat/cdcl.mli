@@ -2,8 +2,8 @@
 
     A from-scratch MiniSAT-style solver: two-watched-literal propagation
     with blocking literals, first-UIP conflict analysis, VSIDS decision
-    heuristic with a binary heap, phase saving, Luby restarts, incremental
-    clause addition and solving under assumptions.  Detailed search
+    heuristic with a binary heap, phase saving, Luby restarts and
+    incremental clause addition between solves.  Detailed search
     statistics are exposed because the paper's argument is about the
     *shape* of the search (recursive calls / decisions per attack
     iteration), not just sat/unsat answers.
@@ -66,10 +66,9 @@ val add_clause : t -> int list -> unit
 
 val add_clause_a : t -> int array -> unit
 
-(** [solve ?assumptions ?budget s] runs the CDCL loop.  With assumptions the
-    answer is relative to them (Unsat means: unsat under these assumptions).
-    Statistics accumulate across calls. *)
-val solve : ?assumptions:int list -> ?budget:budget -> t -> outcome
+(** [solve ?budget s] runs the CDCL loop.  Statistics accumulate across
+    calls. *)
+val solve : ?budget:budget -> t -> outcome
 
 (** [value s v] is the model value of variable [v] after [Sat].
     @raise Invalid_argument if the last call did not return Sat or [v] is
@@ -87,10 +86,6 @@ val num_clauses : t -> int
 (** Live learnt clauses (shrinks when the database is reduced, unlike the
     monotone [stats.learned_clauses]). *)
 val num_learnts : t -> int
-
-(** Words currently allocated in the clause arena (live + dead clauses);
-    a direct measure of solver-core memory. *)
-val arena_words : t -> int
 
 (** [iter_learnts s f] calls [f] on every live learnt clause, as a fresh
     array of DIMACS literals — inprocessing replays them into the rebuilt
@@ -110,12 +105,10 @@ val pp_stats : Format.formatter -> stats -> unit
 (** [set_progress s ~every cb] arms a periodic progress hook: during search,
     after every [every] conflicts, [cb] is called with the stat deltas
     accumulated since the previous firing (first firing: since arming).
-    One hook per solver; re-arming replaces it, {!clear_progress} disarms.
-    When disarmed the search loop pays one integer compare per conflict.
+    One hook per solver; re-arming replaces it.  When unarmed the search
+    loop pays one integer compare per conflict.
     @raise Invalid_argument when [every <= 0]. *)
 val set_progress : t -> every:int -> (stats -> unit) -> unit
-
-val clear_progress : t -> unit
 
 (** [solve_formula ?budget f] is a convenience one-shot solve; returns the
     outcome, the model when Sat, and the stats. *)

@@ -43,12 +43,3 @@ let check ?(budget = Cdcl.no_budget) ?(keys_a = [||]) ?(keys_b = [||]) a b =
 
 let check_key ?budget ~locked ~oracle key =
   check ?budget ~keys_a:key ~keys_b:[||] locked oracle
-
-let pp_verdict fmt = function
-  | Equivalent -> Format.pp_print_string fmt "equivalent (proved)"
-  | Unknown -> Format.pp_print_string fmt "unknown (budget exhausted)"
-  | Different { inputs; _ } ->
-    Format.fprintf fmt "different (counterexample input:%a)"
-      (fun f arr ->
-        Array.iter (fun b -> Format.pp_print_char f (if b then '1' else '0')) arr)
-      inputs

@@ -35,4 +35,3 @@ val check_key :
   bool array ->
   verdict
 
-val pp_verdict : Format.formatter -> verdict -> unit

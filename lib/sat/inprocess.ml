@@ -649,8 +649,18 @@ let xor_pass st ~max_arity =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(rounds = 2) ?(max_probes = 512) ?(max_xor_arity = 5) ?(growth = 0)
-    ?(max_occ = 30) ?(probe = true) ?(scc = true) ?(xor = true) ?(elim = true)
+(* Budget of one run: at most [max_rounds] XOR -> probe -> SCC ->
+   subsume -> eliminate rounds (with progress-based early exit),
+   [max_probes] probe roots per pass, XOR detection up to [max_xor_arity]
+   inputs, and variable elimination bounded as in {!Preprocess} but with a
+   tighter occurrence cap. *)
+let max_rounds = 2
+let max_probes = 512
+let max_xor_arity = 5
+let elim_growth = 0
+let elim_max_occ = 30
+
+let run ?(probe = true) ?(scc = true) ?(xor = true) ?(elim = true)
     ?scratch:scr ?(label = "inprocess") ~frozen f =
   Fl_obs.with_span "inprocess.run" @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -686,7 +696,7 @@ let run ?(rounds = 2) ?(max_probes = 512) ?(max_xor_arity = 5) ?(growth = 0)
   Simp_db.drain_subsumption db;
   let round = ref 0 in
   let progressing = ref true in
-  while !progressing && (not db.Simp_db.unsat) && !round < rounds do
+  while !progressing && (not db.Simp_db.unsat) && !round < max_rounds do
     incr round;
     let mark =
       st.n_units + st.n_collapsed + db.Simp_db.n_elim + db.Simp_db.n_sub
@@ -699,7 +709,8 @@ let run ?(rounds = 2) ?(max_probes = 512) ?(max_xor_arity = 5) ?(growth = 0)
       Simp_db.drain_subsumption db
     end;
     if elim && not db.Simp_db.unsat then
-      ignore (Simp_db.elimination_sweep db ~growth ~max_occ);
+      ignore
+        (Simp_db.elimination_sweep db ~growth:elim_growth ~max_occ:elim_max_occ);
     progressing :=
       st.n_units + st.n_collapsed + db.Simp_db.n_elim + db.Simp_db.n_sub
       > mark

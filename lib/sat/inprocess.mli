@@ -47,19 +47,14 @@ type scratch
 val scratch : unit -> scratch
 
 (** [run ~frozen f] simplifies [f]. [frozen] variables survive untouched
-    (the attack interface: inputs, key copies, outputs). [rounds] bounds
-    the XOR→probe→SCC→subsume→eliminate iterations (default 2, with
-    progress-based early exit); [max_probes] caps probe roots per pass
-    (default 512); [max_xor_arity] caps XOR detection width (default 5);
-    [growth]/[max_occ] bound variable elimination as in {!Preprocess}.
-    The [probe]/[scc]/[xor]/[elim] switches disable individual passes
-    (used by per-pass property tests). *)
+    (the attack interface: inputs, key copies, outputs). A run makes at
+    most 2 XOR→probe→SCC→subsume→eliminate rounds (fewer when a round
+    makes no progress), propagates at most 512 probe roots per pass,
+    detects XORs of up to 5 inputs, and eliminates a variable only
+    without clause growth and with at most 30 occurrences. The
+    [probe]/[scc]/[xor]/[elim] switches disable individual passes (used
+    by per-pass property tests). *)
 val run :
-  ?rounds:int ->
-  ?max_probes:int ->
-  ?max_xor_arity:int ->
-  ?growth:int ->
-  ?max_occ:int ->
   ?probe:bool ->
   ?scc:bool ->
   ?xor:bool ->

@@ -7,40 +7,16 @@
     single byte load and xor ({!value}). *)
 
 (** Transparent alias: literals index watch lists and live in the int
-    arena directly, so the packing is part of the contract (callers
-    outside the solver core should stick to the functions below). *)
+    arena directly, so the packing is part of the contract. *)
 type t = int
-
-external of_int : int -> t = "%identity"
-external to_int : t -> int = "%identity"
-
-(** [make v sign] is variable [v] (0-based), negated when [sign]. *)
-val make : int -> bool -> t
-
-val var : t -> int
-val sign : t -> bool
-val neg : t -> t
-
-(** A sentinel distinct from every proper literal (compares as [-1]). *)
-val undef : t
 
 val of_dimacs : int -> t
 val to_dimacs : t -> int
-val pp : Format.formatter -> t -> unit
 
 module Lbool : sig
   type t = int
 
-  val false_ : t
-  val true_ : t
   val undef : t
-
-  (** Negation by bit-twiddle: flips false/true, fixes undef. *)
-  val neg : t -> t
-
-  val of_bool : bool -> t
-  val is_true : t -> bool
-  val is_false : t -> bool
 
   (** Values [>= undef] are undefined ({!value} can yield 2 or 3). *)
   val is_undef : t -> bool

@@ -38,7 +38,13 @@ type t = {
   st : stats;
 }
 
-let run ?(growth = 0) ?(max_occ = 40) ?(label = "preprocess") ~frozen f =
+(* Elimination bound: no clause-count growth per eliminated variable, and
+   variables with more than [max_occ] occurrences are skipped (the
+   quadratic-resolvent guard). *)
+let growth = 0
+let max_occ = 40
+
+let run ?(label = "preprocess") ~frozen f =
   let t0 = Unix.gettimeofday () in
   Fl_obs.Counter.incr c_runs;
   let db = Simp_db.create ~frozen f in

@@ -4,7 +4,7 @@
     backward subsumption, self-subsuming resolution (clause strengthening)
     and bounded variable elimination (NiVER/SatELite: a variable is
     eliminated only when the non-tautological resolvent count does not
-    exceed the number of clauses removed plus [growth]).  Variables in
+    exceed the number of clauses removed).  Variables in
     [frozen] are never eliminated, so clauses added {e after} preprocessing
     may mention them freely — the contract the incremental attack loop
     relies on (DIP constraints only touch frozen key variables plus fresh
@@ -39,16 +39,13 @@ type stats = {
   wall_s : float;
 }
 
-(** [run ?growth ?max_occ ?label ~frozen f] preprocesses [f].  [growth]
-    (default 0) is the permitted clause-count increase per elimination;
-    [max_occ] (default 40) skips elimination of variables with more total
-    occurrences (quadratic-resolvent guard).  [frozen] lists variable
-    numbers that must survive.  When an {!Fl_obs} sink is installed a
+(** [run ?label ~frozen f] preprocesses [f].  Elimination never grows the
+    clause count and skips variables with more than 40 occurrences (the
+    quadratic-resolvent guard).  [frozen] lists variable numbers that must
+    survive.  When an {!Fl_obs} sink is installed a
     ["preprocess.done"] event is emitted, labelled [label] (default
     ["preprocess"]); the ["preprocess.*"] counters tick regardless. *)
-val run :
-  ?growth:int -> ?max_occ:int -> ?label:string -> frozen:int array ->
-  Fl_cnf.Formula.t -> t
+val run : ?label:string -> frozen:int array -> Fl_cnf.Formula.t -> t
 
 (** The reduced formula.  Same [num_vars] as the input; meaningless when
     {!is_unsat} holds. *)

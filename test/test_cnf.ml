@@ -77,15 +77,35 @@ let test_dimacs_roundtrip () =
   check bool_t "same clause content" true
     (Formula.clauses f = Formula.clauses f2)
 
+(* Every malformed input is a typed error.  The [p cnf V C] header bounds
+   every literal, so a hostile literal never reaches the variable tables
+   or [abs]. *)
 let test_dimacs_errors () =
-  (try
-     ignore (Formula.of_dimacs "1 x 0\n");
-     Alcotest.fail "expected error"
-   with Formula.Dimacs_error _ -> ());
-  try
-    ignore (Formula.of_dimacs "1 2 3\n");
-    Alcotest.fail "expected trailing-clause error"
-  with Formula.Dimacs_error _ -> ()
+  List.iter
+    (fun (label, text) ->
+      match Formula.of_dimacs text with
+      | exception Formula.Dimacs_error _ -> ()
+      | _ -> Alcotest.failf "accepted %s" label)
+    [
+      "bad literal, no header", "1 x 0\n";
+      "unterminated clause, no header", "1 2 3\n";
+      "bad literal", "p cnf 3 1\n1 x 0\n";
+      "unterminated clause", "p cnf 3 1\n1 2 3\n";
+      "literal 1e9", "p cnf 2 1\n1000000000 0\n";
+      "literal max_int", "p cnf 2 1\n4611686018427387903 0\n";
+      "literal min_int", "p cnf 2 1\n-4611686018427387904 0\n";
+      "literal V+1", "p cnf 2 1\n1 3 0\n";
+      "literal -(V+1)", "p cnf 2 1\n-3 0\n";
+      "clause before header", "1 0\np cnf 1 1\n";
+      "two headers", "p cnf 2 1\np cnf 2 1\n1 0\n";
+      "negative count", "p cnf -1 1\n";
+      "missing count", "p cnf 2\n1 0\n";
+      "not cnf", "p dnf 2 1\n1 0\n";
+      "non-numeric count", "p cnf x 1\n1 0\n";
+    ];
+  let f = Formula.of_dimacs "c comment\np cnf 5 2\n-2 1 0\n5 0\n" in
+  check int_t "range edges accepted" 2 (Formula.num_clauses f);
+  check int_t "vars = largest occurring" 5 (Formula.num_vars f)
 
 (* ------------------------------------------------------------------ *)
 (* Tseytin gate encodings: each gate's CNF must have exactly the models

@@ -313,6 +313,29 @@ let test_bench_parse_errors () =
       "garbage line\n";
     ]
 
+(* A gate with the wrong fanin count is a parse error carrying its line,
+   in both readers — not the builder's Invalid_argument. *)
+let test_gate_arity_errors () =
+  List.iter
+    (fun gate ->
+      let text = "INPUT(a)\nOUTPUT(y)\ny = " ^ gate ^ "\n" in
+      match Bench_io.parse_string text with
+      | exception Bench_io.Parse_error (line, _) ->
+        check int_t (gate ^ " line") 3 line
+      | _ -> Alcotest.failf "accepted %s" gate)
+    [ "MUX(a)"; "NOT(a, a)"; "AND()"; "BUF(a, a)"; "XOR(a)"; "CONST1(a)" ];
+  List.iter
+    (fun gate ->
+      let text =
+        "module m (a, y);\n  input a;\n  output y;\n  " ^ gate
+        ^ "\nendmodule\n"
+      in
+      match Fl_netlist.Verilog.parse_string text with
+      | exception Fl_netlist.Verilog.Parse_error (line, _) ->
+        check int_t (gate ^ " line") 4 line
+      | _ -> Alcotest.failf "accepted %s" gate)
+    [ "not g1(y, a, a);"; "buf g1(y, a, a);"; "and g1(y, a);" ]
+
 (* ------------------------------------------------------------------ *)
 (* Generator and bench suite                                           *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +562,7 @@ let () =
           Alcotest.test_case "keyinput convention" `Quick test_bench_keyinput_convention;
           Alcotest.test_case "lut roundtrip" `Quick test_bench_lut_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_bench_parse_errors;
+          Alcotest.test_case "gate arity errors" `Quick test_gate_arity_errors;
         ] );
       ( "generator",
         [

@@ -1,5 +1,5 @@
 (* Tests for Fl_obs: JSONL sink round-trip, the generic JSON parser, span
-   nesting and timing, metric registries, log2 histograms (bucketing,
+   nesting and timing, the metric table, log2 histograms (bucketing,
    striped-merge law, JSON round-trip), span profiles and the folded-stack
    flame contract, the deep-telemetry switch, the CDCL progress hook, the
    contract that the per-iteration attack records' solver-stat deltas sum
@@ -155,20 +155,18 @@ let test_span_nesting_and_timing () =
   let (), events =
     record (fun () ->
         Obs.with_span "outer" (fun () ->
-            check int_t "depth inside outer" 1 (Obs.span_depth ());
-            Obs.with_span "inner" (fun () ->
-                check int_t "depth inside inner" 2 (Obs.span_depth ());
-                Unix.sleepf 0.002)))
+            Obs.with_span "inner" (fun () -> Unix.sleepf 0.002));
+        Obs.with_span "after" ignore)
   in
-  check int_t "depth back to zero" 0 (Obs.span_depth ());
   let names = List.map (fun e -> e.Obs.name) events in
   Alcotest.(check (list string)) "begin/end pairing"
     [ "span.begin:outer"; "span.begin:inner"; "span.end:inner";
-      "span.end:outer" ]
+      "span.end:outer"; "span.begin:after"; "span.end:after" ]
     names;
   let ev name = List.find (fun e -> e.Obs.name = name) events in
   check int_t "outer depth field" 0 (field_int "depth" (ev "span.end:outer"));
   check int_t "inner depth field" 1 (field_int "depth" (ev "span.end:inner"));
+  check int_t "depth back to zero" 0 (field_int "depth" (ev "span.begin:after"));
   let outer_d = field_float "dur_s" (ev "span.end:outer") in
   let inner_d = field_float "dur_s" (ev "span.end:inner") in
   check bool_t "inner took measurable time" true (inner_d >= 0.001);
@@ -178,16 +176,21 @@ let test_span_exception_safe () =
   let (), events =
     record (fun () ->
         (try Obs.with_span "boom" (fun () -> failwith "boom")
-         with Failure _ -> ()))
+         with Failure _ -> ());
+        Obs.with_span "after" ignore)
   in
-  check int_t "depth restored after raise" 0 (Obs.span_depth ());
+  check int_t "depth restored after raise" 0
+    (field_int "depth"
+       (List.find (fun e -> e.Obs.name = "span.begin:after") events));
   check bool_t "span.end emitted despite raise" true
     (List.exists (fun e -> e.Obs.name = "span.end:boom") events)
 
 let test_span_without_sink_is_transparent () =
   (* No sink: with_span must still run the thunk and return its value. *)
   check int_t "value passes through" 42 (Obs.with_span "quiet" (fun () -> 42));
-  check int_t "depth untouched" 0 (Obs.span_depth ())
+  (* ...and leave no depth behind for the next traced span. *)
+  let (), events = record (fun () -> Obs.with_span "next" ignore) in
+  check int_t "depth untouched" 0 (field_int "depth" (List.hd events))
 
 (* ------------------------------------------------------------------ *)
 (* Generic JSON parser                                                 *)
@@ -276,41 +279,35 @@ let test_of_string_rejects_nested () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Counters, gauges, registries                                        *)
+(* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let counter_value name =
+  match List.assoc_opt name (Obs.snapshot ()) with
+  | Some (Obs.Int n) -> n
+  | _ -> Alcotest.failf "counter %S not in snapshot" name
+
 let test_metrics_registry () =
-  let reg = Obs.Registry.create "test" in
-  let c = Obs.Counter.make ~registry:reg "hits" in
-  let c' = Obs.Counter.make ~registry:reg "hits" in
+  let c = Obs.Counter.make "test.metrics.hits" in
+  let c' = Obs.Counter.make "test.metrics.hits" in
   Obs.Counter.incr c;
   Obs.Counter.add c' 4;
   check int_t "same cell through both handles" 5 (Obs.Counter.value c);
-  let g = Obs.Gauge.make ~registry:reg "ratio" in
-  Obs.Gauge.set g 3.77;
-  (match Obs.snapshot ~registry:reg () with
-   | [ ("hits", Obs.Int 5); ("ratio", Obs.Float r) ] ->
-     check bool_t "gauge value" true (r = 3.77)
-   | other -> Alcotest.failf "unexpected snapshot (%d entries)" (List.length other));
-  Obs.reset_metrics ~registry:reg ();
+  check int_t "snapshot value" 5 (counter_value "test.metrics.hits");
+  Obs.reset_metrics ();
   check int_t "counter reset" 0 (Obs.Counter.value c);
-  check bool_t "gauge reset" true (Obs.Gauge.value g = 0.0);
-  (* A name cannot be both a counter and a gauge. *)
-  match Obs.Gauge.make ~registry:reg "hits" with
+  (* A name cannot be both a counter and a histogram. *)
+  match Obs.Hist.make "test.metrics.hits" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "counter name reused as gauge"
+  | _ -> Alcotest.fail "counter name reused as histogram"
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let hist_reg = Obs.Registry.create "hist-test"
-
-let find_hist ?registry name =
+let find_hist name =
   match
-    List.find_opt
-      (fun s -> s.Obs.Hist.hname = name)
-      (Obs.hist_snapshot ?registry ())
+    List.find_opt (fun s -> s.Obs.Hist.hname = name) (Obs.hist_snapshot ())
   with
   | Some s -> s
   | None -> Alcotest.failf "histogram %S not in snapshot" name
@@ -330,7 +327,7 @@ let test_hist_buckets () =
   done
 
 let test_hist_stats () =
-  let h = Obs.Hist.make ~registry:hist_reg "stats" in
+  let h = Obs.Hist.make "stats" in
   check int_t "empty count" 0 (Obs.Hist.count (Obs.Hist.read_cells "stats" h));
   check bool_t "empty quantile" true
     (Obs.Hist.quantile (Obs.Hist.read_cells "stats" h) 0.5 = 0.0);
@@ -346,7 +343,7 @@ let test_hist_stats () =
   check bool_t "sum estimate" true (abs_float (Obs.Hist.sum s -. 38425.0) < 1e-6)
 
 let test_hist_scaled_time () =
-  let h = Obs.Hist.make ~registry:hist_reg ~scale:1e-6 "lat" in
+  let h = Obs.Hist.make ~scale:1e-6 "lat" in
   Obs.Hist.record_time h 1.0e-6;
   Obs.Hist.record_time h 1.0e-3;
   let s = Obs.Hist.read_cells "lat" h in
@@ -357,60 +354,56 @@ let test_hist_scaled_time () =
   check bool_t "p99 in seconds" true
     (abs_float (Obs.Hist.quantile s 0.99 -. 1023e-6) < 1e-12)
 
-let test_hist_merge () =
-  let a = Obs.Hist.make ~registry:hist_reg "merge.a" in
-  let b = Obs.Hist.make ~registry:hist_reg "merge.b" in
-  Obs.Hist.record a 1;
-  Obs.Hist.record b 1;
-  Obs.Hist.record b 100;
-  let sa = Obs.Hist.read_cells "a" a and sb = Obs.Hist.read_cells "b" b in
-  let m = Obs.Hist.merge sa sb in
-  check int_t "merged count" 3 (Obs.Hist.count m);
-  check bool_t "merged max" true (Obs.Hist.max_value m = 127.0);
-  (* Scale mismatch must refuse to merge, not silently mix units. *)
-  let c = Obs.Hist.make ~registry:hist_reg ~scale:1e-6 "merge.c" in
-  match Obs.Hist.merge sa (Obs.Hist.read_cells "c" c) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "merged histograms of different scales"
-
 let test_hist_registry_integration () =
-  let reg = Obs.Registry.create "hist-reg" in
-  let h = Obs.Hist.make ~registry:reg "h" in
-  let h' = Obs.Hist.make ~registry:reg "h" in
+  let h = Obs.Hist.make "test.hist.h" in
+  let h' = Obs.Hist.make "test.hist.h" in
   Obs.Hist.record h 5;
   Obs.Hist.record h' 5;
   check int_t "same cell through both handles" 2
-    (Obs.Hist.count (find_hist ~registry:reg "h"));
-  (* Histograms stay out of the scalar snapshot. *)
-  check int_t "not in scalar snapshot" 0
-    (List.length (Obs.snapshot ~registry:reg ()));
+    (Obs.Hist.count (find_hist "test.hist.h"));
+  (* Histograms stay out of the counter snapshot. *)
+  check bool_t "not in counter snapshot" false
+    (List.mem_assoc "test.hist.h" (Obs.snapshot ()));
   (* A name cannot be both a counter and a histogram. *)
-  let _c = Obs.Counter.make ~registry:reg "taken" in
-  (match Obs.Hist.make ~registry:reg "taken" with
+  let _c = Obs.Counter.make "test.hist.taken" in
+  (match Obs.Hist.make "test.hist.taken" with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "counter name reused as histogram");
-  Obs.reset_metrics ~registry:reg ();
+  Obs.reset_metrics ();
   check int_t "reset zeroes buckets" 0
-    (Obs.Hist.count (find_hist ~registry:reg "h"))
+    (Obs.Hist.count (find_hist "test.hist.h"))
+
+(* [Hist.json] carries the exact distribution: its sparse bucket object
+   and summary members read back to the snapshot's figures. *)
+let hist_of_json j =
+  let buckets = Array.make 64 0 in
+  (match Obs.Json.member "buckets" j with
+   | Some (Obs.Json.Jobj members) ->
+     List.iter
+       (fun (k, v) ->
+         match v with
+         | Obs.Json.Jint n -> buckets.(int_of_string k) <- n
+         | _ -> Alcotest.failf "bucket %s is not an integer" k)
+       members
+   | _ -> Alcotest.fail "no buckets member");
+  let num k = Option.bind (Obs.Json.member k j) Obs.Json.number in
+  buckets, num "scale", num "count"
 
 let test_hist_json_round_trip () =
-  let h = Obs.Hist.make ~registry:hist_reg "jsonrt" in
+  let h = Obs.Hist.make "jsonrt" in
   List.iter (Obs.Hist.record h) [ -3; 0; 1; 1; 3; 900; 900; 900; 123456 ];
   let s = Obs.Hist.read_cells "jsonrt" h in
-  let back = Obs.Hist.of_json ~name:"jsonrt" (Obs.Json.parse (Obs.Hist.json s)) in
-  check bool_t "name" true (back.Obs.Hist.hname = "jsonrt");
-  check bool_t "scale" true (back.Obs.Hist.hscale = s.Obs.Hist.hscale);
-  check bool_t "buckets" true (back.Obs.Hist.hbuckets = s.Obs.Hist.hbuckets);
+  let buckets, scale, count = hist_of_json (Obs.Json.parse (Obs.Hist.json s)) in
+  check bool_t "scale" true (scale = Some s.Obs.Hist.hscale);
+  check bool_t "count" true (count = Some 9.0);
+  check bool_t "buckets" true (buckets = s.Obs.Hist.hbuckets);
   (* Scaled histograms round-trip their scale too. *)
-  let t = Obs.Hist.make ~registry:hist_reg ~scale:1e-6 "jsonrt.t" in
+  let t = Obs.Hist.make ~scale:1e-6 "jsonrt.t" in
   Obs.Hist.record_time t 0.5;
   let st = Obs.Hist.read_cells "jsonrt.t" t in
-  let backt =
-    Obs.Hist.of_json ~name:"jsonrt.t" (Obs.Json.parse (Obs.Hist.json st))
-  in
+  let bt, scalet, _ = hist_of_json (Obs.Json.parse (Obs.Hist.json st)) in
   check bool_t "scaled buckets" true
-    (backt.Obs.Hist.hbuckets = st.Obs.Hist.hbuckets
-     && backt.Obs.Hist.hscale = 1e-6)
+    (bt = st.Obs.Hist.hbuckets && scalet = Some 1e-6)
 
 (* The striping law: a histogram fed the same multiset of samples from
    several domains reads back identical to one fed sequentially. *)
@@ -419,8 +412,8 @@ let hist_law_id = ref 0
 let striped_hist_prop values =
   incr hist_law_id;
   let name tag = Printf.sprintf "law.%d.%s" !hist_law_id tag in
-  let seq = Obs.Hist.make ~registry:hist_reg (name "seq") in
-  let par = Obs.Hist.make ~registry:hist_reg (name "par") in
+  let seq = Obs.Hist.make (name "seq") in
+  let par = Obs.Hist.make (name "par") in
   List.iter (Obs.Hist.record seq) values;
   let chunks = Array.make 4 [] in
   List.iteri (fun i v -> chunks.(i mod 4) <- v :: chunks.(i mod 4)) values;
@@ -843,7 +836,6 @@ let () =
           Alcotest.test_case "bucket boundaries" `Quick test_hist_buckets;
           Alcotest.test_case "count/sum/quantile" `Quick test_hist_stats;
           Alcotest.test_case "scaled time" `Quick test_hist_scaled_time;
-          Alcotest.test_case "merge" `Quick test_hist_merge;
           Alcotest.test_case "registry integration" `Quick
             test_hist_registry_integration;
           Alcotest.test_case "json round-trip" `Quick

@@ -1,6 +1,6 @@
 (* Tests for Fl_par: deterministic result ordering (parallel = jobs-1
    semantics), retry and failure bookkeeping, cancellation, soft-timeout
-   marking, pool reuse across batches, the map_reduce/sequential-fold
+   marking, pool reuse across batches, the map_list/List.map
    equivalence, and the par.* event stream. *)
 
 module Par = Fl_par
@@ -13,7 +13,7 @@ let int_t = Alcotest.int
 let qcheck_case ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let values outcomes = Array.to_list outcomes |> List.filter_map Par.value
+let values outcomes = List.filter_map Par.value outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Ordering and determinism                                            *)
@@ -32,7 +32,7 @@ let test_results_land_by_index () =
       let out = Par.run p tasks in
       check (Alcotest.list int_t) "squares in index order"
         (List.init n (fun i -> i * i))
-        (values out))
+        (values (Array.to_list out)))
 
 let test_parallel_matches_sequential () =
   let xs = List.init 40 (fun i -> i) in
@@ -93,7 +93,7 @@ let test_failure_and_cancellation () =
       check int_t "failed" 1 s.Par.failed;
       check int_t "cancelled" 2 s.Par.cancelled;
       check int_t "retries" 1 s.Par.retries;
-      (* get/map_reduce surface the failure as an exception. *)
+      (* get surfaces the failure as an exception. *)
       check bool_t "get raises" true
         (match Par.get out.(1) with
          | _ -> false
@@ -126,11 +126,11 @@ let test_late_marking () =
 
 let test_pool_reuse_across_batches () =
   Par.with_pool ~jobs:3 (fun p ->
-      let b1 = Par.map p (fun x -> x + 1) (Array.init 10 Fun.id) in
+      let b1 = Par.map_list p (fun x -> x + 1) (List.init 10 Fun.id) in
       check (Alcotest.list int_t) "first batch"
         (List.init 10 (fun i -> i + 1))
         (values b1);
-      let b2 = Par.map p (fun x -> x * 2) (Array.init 7 Fun.id) in
+      let b2 = Par.map_list p (fun x -> x * 2) (List.init 7 Fun.id) in
       check (Alcotest.list int_t) "second batch on same workers"
         (List.init 7 (fun i -> 2 * i))
         (values b2);
@@ -141,21 +141,18 @@ let test_empty_batch () =
       check int_t "empty batch" 0 (Array.length (Par.run p [||])))
 
 (* ------------------------------------------------------------------ *)
-(* map_reduce = map + fold                                             *)
+(* map_list = List.map                                                *)
 (* ------------------------------------------------------------------ *)
 
-let map_reduce_matches_sequential =
-  qcheck_case "parallel map_reduce = List.map + fold"
+let map_list_matches_sequential =
+  qcheck_case "parallel map_list = List.map"
     QCheck2.Gen.(pair (list_size (0 -- 25) small_int) (2 -- 4))
     (fun (xs, jobs) ->
       let f x = (x * 31) lxor 5 in
-      let reduce acc v = (acc * 17) + v in
-      let expected = List.fold_left reduce 3 (List.map f xs) in
       let got =
-        Par.with_pool ~jobs (fun p ->
-            Par.map_reduce p ~map:f ~reduce ~init:3 xs)
+        Par.with_pool ~jobs (fun p -> List.map Par.get (Par.map_list p f xs))
       in
-      expected = got)
+      List.map f xs = got)
 
 (* ------------------------------------------------------------------ *)
 (* Events and counters                                                 *)
@@ -168,7 +165,7 @@ let test_par_events () =
                && String.sub e.Obs.name 0 4 = "par." then events := e :: !events)
     (fun () ->
       Par.with_pool ~name:"evpool" ~jobs:2 (fun p ->
-          ignore (Par.map p (fun x -> x) (Array.init 3 Fun.id))));
+          ignore (Par.map_list p (fun x -> x) (List.init 3 Fun.id))));
   let count name =
     List.length (List.filter (fun e -> e.Obs.name = name) !events)
   in
@@ -188,7 +185,7 @@ let test_counters_merge_across_domains () =
      par.tasks grows by exactly the number of tasks submitted. *)
   let before = Obs.Counter.value (Obs.Counter.make "par.tasks") in
   Par.with_pool ~jobs:3 (fun p ->
-      ignore (Par.map p (fun x -> x) (Array.init 11 Fun.id)));
+      ignore (Par.map_list p (fun x -> x) (List.init 11 Fun.id)));
   let after = Obs.Counter.value (Obs.Counter.make "par.tasks") in
   check int_t "worker increments merged" 11 (after - before)
 
@@ -207,7 +204,7 @@ let test_run_inline_jobs1 () =
       check (Alcotest.list int_t) "index order" [ 0; 1; 2; 3 ]
         (List.rev !order);
       check bool_t "ran on the calling domain" true
-        (List.for_all (fun d -> d = self) (values out)))
+        (List.for_all (fun d -> d = self) (values (Array.to_list out))))
 
 let test_nested_run_rejected () =
   (* The documented deadlock is a fail-fast error: calling back into the
@@ -256,7 +253,7 @@ let () =
           Alcotest.test_case "jobs=1 inline" `Quick test_run_inline_jobs1;
           Alcotest.test_case "nested run rejected" `Quick
             test_nested_run_rejected;
-          map_reduce_matches_sequential;
+          map_list_matches_sequential;
         ] );
       ( "observability",
         [

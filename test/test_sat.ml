@@ -90,20 +90,6 @@ let test_cdcl_pigeonhole_sat_when_fits () =
   let s = pigeonhole 4 4 in
   check bool_t "fits" true (Cdcl.solve s = Cdcl.Sat)
 
-let test_cdcl_assumptions () =
-  let s = Cdcl.create () in
-  Cdcl.add_clause s [ 1; 2 ];
-  Cdcl.add_clause s [ -1; 3 ];
-  check bool_t "sat under a=1" true (Cdcl.solve ~assumptions:[ 1 ] s = Cdcl.Sat);
-  check bool_t "3 implied" true (Cdcl.value s 3);
-  check bool_t "sat under -1" true (Cdcl.solve ~assumptions:[ -1 ] s = Cdcl.Sat);
-  check bool_t "2 implied" true (Cdcl.value s 2);
-  (* Conflicting assumptions *)
-  check bool_t "unsat under 1,-3" true
-    (Cdcl.solve ~assumptions:[ 1; -3 ] s = Cdcl.Unsat);
-  (* Solver is reusable after assumption-unsat. *)
-  check bool_t "still sat" true (Cdcl.solve s = Cdcl.Sat)
-
 let test_cdcl_incremental () =
   let s = Cdcl.create () in
   Cdcl.add_clause s [ 1; 2 ];
@@ -191,6 +177,7 @@ let test_cdcl_binary_watch_rebuild () =
     else build (seed + 1)
   in
   let s = build 0 in
+  let s' = build 0 in
   (* The export hook sees exactly the live learnt clauses. *)
   let exported = ref 0 in
   Cdcl.iter_learnts s (fun c ->
@@ -198,18 +185,22 @@ let test_cdcl_binary_watch_rebuild () =
       check bool_t "exported non-unit" true (Array.length c >= 1));
   check int_t "export count" (Cdcl.num_learnts s) !exported;
   Cdcl.reduce_now s;
-  (* Propagation through the rebuilt binary watches: assuming the chain
+  Cdcl.reduce_now s';
+  (* Propagation through the rebuilt binary watches: pinning the chain
      head must imply every link up to the tail. *)
-  check bool_t "sat after reduce" true (Cdcl.solve ~assumptions:[ 1 ] s = Cdcl.Sat);
+  Cdcl.add_clause s [ 1 ];
+  check bool_t "sat after reduce" true (Cdcl.solve s = Cdcl.Sat);
   for i = 1 to k do
     check bool_t (Printf.sprintf "chain %d" i) true (Cdcl.value s i)
   done;
-  (* And the contrapositive direction. *)
-  check bool_t "sat under -k" true (Cdcl.solve ~assumptions:[ -k ] s = Cdcl.Sat);
-  check bool_t "head forced false" false (Cdcl.value s 1);
+  (* And the contrapositive direction, on an identically built and
+     reduced twin. *)
+  Cdcl.add_clause s' [ -k ];
+  check bool_t "sat under -k" true (Cdcl.solve s' = Cdcl.Sat);
+  check bool_t "head forced false" false (Cdcl.value s' 1);
   (* A second reduction on the already-compacted arena is also safe. *)
   Cdcl.reduce_now s;
-  check bool_t "still sat" true (Cdcl.solve ~assumptions:[ 1 ] s = Cdcl.Sat);
+  check bool_t "still sat" true (Cdcl.solve s = Cdcl.Sat);
   check bool_t "still propagates" true (Cdcl.value s k)
 
 (* ------------------------------------------------------------------ *)
@@ -344,22 +335,6 @@ let prop_arena_roundtrip =
       && Arena.num_clauses a = n_live
       && Arena.num_learnts a = n_live_learnt
       && Arena.wasted a = 0)
-
-let test_arena_snapshot () =
-  let a = Arena.create () in
-  let c0 = Arena.alloc a ~learnt:false [| 0; 2 |] in
-  let snap = Arena.mark a in
-  let _c1 = Arena.alloc a ~learnt:true [| 1; 3; 5 |] in
-  let _c2 = Arena.alloc a ~learnt:false [| 4; 6 |] in
-  check int_t "3 clauses" 3 (Arena.num_clauses a);
-  Arena.restore a snap;
-  check int_t "back to 1" 1 (Arena.num_clauses a);
-  check int_t "no learnts" 0 (Arena.num_learnts a);
-  check bool_t "pre-mark clause intact" true (Arena.lits a c0 = [| 0; 2 |]);
-  check bool_t "unit rejected" true
-    (match Arena.alloc a ~learnt:false [| 7 |] with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Preprocessing                                                       *)
@@ -732,17 +707,21 @@ let prop_cdcl_dpll_agree =
       | Cdcl.Sat, Dpll.Sat | Cdcl.Unsat, Dpll.Unsat -> true
       | _ -> false)
 
-let prop_cdcl_assumption_consistency =
-  (* If sat under assumption l, the model must satisfy l. *)
-  qcheck_case ~count:100 "assumption in model" random_formula_gen (fun params ->
+let prop_cdcl_unit_consistency =
+  (* A unit clause added after a first solve is honoured: sat means the
+     model sets the literal and satisfies the formula, unsat means brute
+     force finds no model with it. *)
+  qcheck_case ~count:100 "unit clause in model" random_formula_gen (fun params ->
       let f = make_formula params in
       let s = Cdcl.of_formula f in
-      match Cdcl.solve ~assumptions:[ 1 ] s with
-      | Cdcl.Sat -> Cdcl.value s 1
+      ignore (Cdcl.solve s);
+      Cdcl.add_clause s [ 1 ];
+      match Cdcl.solve s with
+      | Cdcl.Sat -> Cdcl.value s 1 && model_satisfies f (Cdcl.model s)
       | Cdcl.Unsat ->
-        (* then adding the unit clause must also be unsat *)
-        Cdcl.add_clause s [ 1 ];
-        Cdcl.solve s = Cdcl.Unsat
+        let g = Formula.copy f in
+        Formula.add_clause g [ 1 ];
+        not (brute_sat g)
       | Cdcl.Unknown -> false)
 
 let prop_cdcl_circuit_reference =
@@ -784,7 +763,6 @@ let () =
           Alcotest.test_case "unit chain" `Quick test_cdcl_units_chain;
           Alcotest.test_case "pigeonhole unsat" `Quick test_cdcl_pigeonhole;
           Alcotest.test_case "pigeonhole sat" `Quick test_cdcl_pigeonhole_sat_when_fits;
-          Alcotest.test_case "assumptions" `Quick test_cdcl_assumptions;
           Alcotest.test_case "incremental" `Quick test_cdcl_incremental;
           Alcotest.test_case "budget" `Quick test_cdcl_budget;
           Alcotest.test_case "stats" `Quick test_cdcl_stats_accumulate;
@@ -797,7 +775,6 @@ let () =
       ( "arena",
         [
           prop_arena_roundtrip;
-          Alcotest.test_case "snapshot + restore" `Quick test_arena_snapshot;
         ] );
       ( "dpll",
         [
@@ -840,7 +817,7 @@ let () =
           prop_cdcl_correct;
           prop_dpll_correct;
           prop_cdcl_dpll_agree;
-          prop_cdcl_assumption_consistency;
+          prop_cdcl_unit_consistency;
           prop_cdcl_circuit_reference;
         ] );
     ]

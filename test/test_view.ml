@@ -9,6 +9,7 @@ module Sim_word = Fl_netlist.Sim_word
 module View = Fl_netlist.View
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
+module Faults = Fl_netlist.Faults
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -181,6 +182,85 @@ let prop_word_lanes_match_scalar_sweep =
           packed
       done;
       !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Fault simulation = reference on a stuck-at copy                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The faulty machine of [fault], built structurally: a copy of [c] in
+   which every reader of the fault site (fanins and output ports) reads a
+   constant node instead. *)
+let stuck_copy c (fault : Faults.fault) =
+  let b = Circuit.Builder.create ~name:"stuck" () in
+  let map = Circuit.copy_nodes_into b c in
+  let tied = Circuit.Builder.add b (Gate.Const fault.stuck_at) [||] in
+  let site = map.(fault.node) in
+  let redirect id = if id = site then tied else id in
+  Array.iter
+    (fun id ->
+      let fanins = Circuit.Builder.fanins_of b id in
+      if Array.exists (( = ) site) fanins then
+        Circuit.Builder.set_fanins b id (Array.map redirect fanins))
+    map;
+  Array.iter
+    (fun (port, id) -> Circuit.Builder.output b port (redirect map.(id)))
+    c.Circuit.outputs;
+  Circuit.of_builder b
+
+(* A vector detects the fault when some output settles in the good
+   machine and the faulty machine settles to the other value or not at
+   all. *)
+let reference_detects c faulty ~inputs ~keys =
+  let good = Sim.eval_tristate_reference c ~inputs ~keys in
+  let bad = Sim.eval_tristate_reference faulty ~inputs ~keys in
+  Array.exists2 (fun g f -> g <> Sim.VX && f <> g) good bad
+
+let prop_faults_match_reference =
+  let gen =
+    QCheck2.Gen.(triple (int_bound 10_000) (int_bound 10_000) (int_range 1 6))
+  in
+  qcheck_case ~count:40 "faults: detects = stuck-at copy reference" gen
+    (fun (seed, stim_seed, count) ->
+      let c =
+        if seed land 1 = 0 then acyclic_of ~seed else random_cyclic ~seed
+      in
+      let rng = Random.State.make [| stim_seed; 3 |] in
+      let vectors =
+        Array.init count (fun _ -> Sim.random_vector rng (Circuit.num_inputs c))
+      in
+      let keys = Sim.random_vector rng (Circuit.num_keys c) in
+      let packed_keys = View.broadcast keys in
+      (* Lane j carries vector (j mod count), so every lane is one of the
+         [count] vectors. *)
+      let packed =
+        Array.init (Circuit.num_inputs c) (fun i ->
+            let w = ref 0 in
+            for lane = 0 to View.lanes - 1 do
+              if vectors.(lane mod count).(i) then w := !w lor (1 lsl lane)
+            done;
+            !w)
+      in
+      List.for_all
+        (fun fault ->
+          let faulty = stuck_copy c fault in
+          let per_lane =
+            Array.map
+              (fun inputs ->
+                let expected = reference_detects c faulty ~inputs ~keys in
+                let got =
+                  Faults.detects c ~keys:packed_keys
+                    ~inputs:(View.broadcast inputs) fault
+                in
+                if got <> expected then
+                  QCheck2.Test.fail_reportf
+                    "fault node %d stuck-at %b: detects %b, reference %b"
+                    fault.Faults.node fault.Faults.stuck_at got expected;
+                expected)
+              vectors
+          in
+          Faults.detects c ~keys:packed_keys ~inputs:packed fault
+          = Array.exists Fun.id per_lane)
+        (Faults.enumerate c))
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint corner cases                                               *)
@@ -439,15 +519,14 @@ let test_structural_hash_memoized () =
   let c = Bench_suite.c17 () in
   let v = View.of_circuit c in
   let h1 = View.structural_hash v in
-  let reg = Fl_obs.Registry.default in
   let before =
-    match List.assoc_opt "view.memo.shash.hit" (Fl_obs.snapshot ~registry:reg ()) with
+    match List.assoc_opt "view.memo.shash.hit" (Fl_obs.snapshot ()) with
     | Some (Fl_obs.Int n) -> n
     | _ -> 0
   in
   let h2 = View.structural_hash v in
   let after =
-    match List.assoc_opt "view.memo.shash.hit" (Fl_obs.snapshot ~registry:reg ()) with
+    match List.assoc_opt "view.memo.shash.hit" (Fl_obs.snapshot ()) with
     | Some (Fl_obs.Int n) -> n
     | _ -> 0
   in
@@ -463,6 +542,7 @@ let () =
           prop_cyclic_matches_reference;
           prop_word_lane_zero_matches_scalar;
           prop_word_lanes_match_scalar_sweep;
+          prop_faults_match_reference;
         ] );
       ( "fixpoint",
         [
