@@ -74,7 +74,7 @@ let removal ~deep ~pool () =
         let r = Removal.run locked in
         let sps = Sps.identifies_block locked in
         let bypass =
-          if Fl_netlist.Circuit.is_acyclic locked.Locked.locked then
+          if Fl_netlist.View.(is_acyclic (of_circuit locked.Locked.locked)) then
             match Bypass.run ~max_cubes:24 ~timeout:15.0 locked with
             | Bypass.Bypassed { cubes; overhead_gates; _ } ->
               Printf.sprintf "BROKEN (%d cubes, +%d gates)" (List.length cubes)
@@ -161,13 +161,13 @@ let corruption ~deep ~pool () =
         let rng = Random.State.make [| Hashtbl.hash name; 3 |] in
         let locked = lock rng c in
         let corr =
-          Locked.output_corruption_fast ~trials:32 ~batches:2 locked
+          Locked.output_corruption ~trials:32 ~batches:2 locked
             (Random.State.make [| 4 |])
         in
         (* Exact (BDD model-counted) corruption of one fixed wrong key, when
            the BDD stays tractable. *)
         let exact =
-          if not (Fl_netlist.Circuit.is_acyclic locked.Locked.locked) then "n/a"
+          if not Fl_netlist.View.(is_acyclic (of_circuit locked.Locked.locked)) then "n/a"
           else begin
             let wrong = Array.map not locked.Locked.correct_key in
             match Fl_bdd.Bdd.exact_corruption ~node_limit:2_000_000 locked ~key:wrong with

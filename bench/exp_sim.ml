@@ -4,6 +4,7 @@
    simulation hot path is tracked across changes. *)
 
 module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Bench_suite = Fl_netlist.Bench_suite
 
 let run () =
@@ -12,8 +13,7 @@ let run () =
   let rng = Random.State.make [| 0x51b |] in
   let inputs = Sim.random_vector rng (Fl_netlist.Circuit.num_inputs c) in
   let packed_inputs =
-    Fl_netlist.Sim_word.random_words rng
-      ~width:(Fl_netlist.Circuit.num_inputs c)
+    View.random_words rng ~width:(Fl_netlist.Circuit.num_inputs c)
   in
   (* Time [f] for at least [budget] seconds and return calls/second. *)
   let rate ?(budget = 0.4) f =
@@ -30,22 +30,22 @@ let run () =
   let uncached =
     rate (fun () -> ignore (Sim.eval_reference c ~inputs ~keys:[||]))
   in
-  let cached = rate (fun () -> ignore (Sim.eval c ~inputs ~keys:[||])) in
+  let eval c = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
+  let cached = rate (fun () -> ignore (eval c)) in
   let word_passes =
     rate (fun () ->
-        ignore (Fl_netlist.Sim_word.eval c ~inputs:packed_inputs ~keys:[||]))
+        ignore
+          (View.eval_packed (View.of_circuit c) ~inputs:packed_inputs ~keys:[||]))
   in
   (* Cold path: a physically fresh circuit forces a full view build on its
      first evaluation. *)
   let fresh = Array.init 24 (fun _ -> Bench_suite.load name) in
   let t0 = Unix.gettimeofday () in
-  Array.iter
-    (fun c -> ignore (Sim.eval c ~inputs ~keys:[||]))
-    fresh;
+  Array.iter (fun c -> ignore (eval c)) fresh;
   let cold_first_eval_us =
     (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int (Array.length fresh)
   in
-  let lanes = Fl_netlist.Sim_word.lanes in
+  let lanes = View.lanes in
   let speedup = cached /. uncached in
   (* BENCH_sim.json is written by the harness via Report; these keys are
      the stable schema tracked across PRs. *)

@@ -11,6 +11,7 @@
 open Cmdliner
 
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 module Bench_io = Fl_netlist.Bench_io
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
@@ -118,7 +119,7 @@ let stats_cmd =
   let run path ppa =
     let c = read_circuit path in
     Format.printf "%a@." Circuit.pp_stats c;
-    (match Circuit.depth c with
+    (match View.depth (View.of_circuit c) with
      | Some d -> Printf.printf "logic depth: %d\n" d
      | None ->
        Printf.printf "combinational cycles: %d feedback edge(s)\n"
@@ -131,33 +132,12 @@ let stats_cmd =
 
 (* ---------- lock ---------- *)
 
-let lock_scheme rng scheme plr cyclic key_bits c =
-  match scheme with
-  | "full-lock" ->
-    let sizes = Fulllock.parse_plr_sizes plr in
-    let configs = List.map (fun n -> Fulllock.default_config ~n) sizes in
-    Fulllock.lock rng ~policy:(if cyclic then `Cyclic else `Acyclic) ~configs c
-  | "rll" -> Fl_locking.Rll.lock rng ~key_bits c
-  | "mux" -> Fl_locking.Mux_lock.lock rng ~key_bits c
-  | "sarlock" -> Fl_locking.Sarlock.lock rng ~key_bits c
-  | "antisat" -> Fl_locking.Antisat.lock rng ~key_bits c
-  | "lutlock" -> Fl_locking.Lut_lock.lock rng ~gates:(max 1 (key_bits / 4)) c
-  | "crosslock" -> Fl_locking.Cross_lock.lock rng ~n:(max 2 key_bits) c
-  | "sfll" -> Fl_locking.Sfll.lock rng ~key_bits ~h:(max 0 (key_bits / 8)) c
-  | "cyclic" -> Fl_locking.Cyclic_lock.lock rng ~cycles:key_bits c
-  | other ->
-    Printf.eprintf
-      "unknown scheme %S (full-lock, rll, mux, sarlock, antisat, sfll, lutlock, \
-       crosslock, cyclic)\n"
-      other;
-    exit 1
-
 let lock_cmd =
   let run input out key_out scheme plr cyclic key_bits seed =
     let c = read_circuit input in
     let rng = Random.State.make [| seed |] in
     let locked =
-      try lock_scheme rng scheme plr cyclic key_bits c
+      try Fulllock.lock_scheme rng ~scheme ~plr ~cyclic ~key_bits c
       with Invalid_argument msg -> Printf.eprintf "lock failed: %s\n" msg; exit 1
     in
     if not (Locked.verify locked) then begin
@@ -305,7 +285,7 @@ let coverage_cmd =
 let testgen_cmd =
   let run path key_path out budget =
     let c = read_circuit path in
-    if not (Circuit.is_acyclic c) then begin
+    if not (View.is_acyclic (View.of_circuit c)) then begin
       Printf.eprintf "ATPG needs an acyclic netlist (activate the key first)\n";
       exit 1
     end;

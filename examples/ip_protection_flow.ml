@@ -11,7 +11,7 @@ module Bench_suite = Fl_netlist.Bench_suite
 module Locked = Fl_locking.Locked
 module Fulllock = Fl_core.Fulllock
 module Ppa = Fl_ppa.Ppa
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 
 let out_dir = Filename.concat (Filename.get_temp_dir_name ()) "fulllock-flow"
 
@@ -49,24 +49,16 @@ let () =
 
   (* Activation check: reload what the foundry would get, program the key,
      compare against the golden model on random vectors. *)
-  let fabricated = Bench_io.parse_file locked_path in
-  let rng = Random.State.make [| 5 |] in
-  let vectors = List.init 200 (fun _ -> Sim.random_vector rng (Circuit.num_inputs ip)) in
-  let activated_ok =
-    Sim.equal_on_vectors fabricated ip ~keys_a:locked.Locked.correct_key ~keys_b:[||]
-      ~vectors
+  let fabricated = View.of_circuit (Bench_io.parse_file locked_path) in
+  let golden = View.of_circuit ip in
+  let agrees key =
+    View.agree_on_probes ~vectors:200 ~seed:5 fabricated ~keys_a:key golden
+      ~keys_b:[||]
   in
+  let activated_ok = agrees locked.Locked.correct_key in
   Printf.printf "post-fab activation check (200 vectors): %s\n"
     (if activated_ok then "PASS" else "FAIL");
 
   (* And what an overproduced, unactivated chip would do: *)
-  let zero_key = Array.make (Locked.num_key_bits locked) false in
-  let corrupted =
-    List.exists
-      (fun inputs ->
-        match Sim.eval fabricated ~inputs ~keys:zero_key with
-        | out -> out <> Sim.eval ip ~inputs ~keys:[||]
-        | exception Sim.Unresolved _ -> true)
-      vectors
-  in
+  let corrupted = not (agrees (Array.make (Locked.num_key_bits locked) false)) in
   Printf.printf "unactivated chip misbehaves: %b (that is the point)\n" corrupted

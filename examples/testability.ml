@@ -61,7 +61,6 @@ let () =
           Fl_netlist.Sim.random_vector (Random.State.make [| 1; i |])
             (Circuit.num_inputs lc))
   in
-  ignore all_vectors;
   let final = Faults.coverage lc ~keys ~vectors:all_vectors in
   Format.printf "final test set:     %a@." Faults.pp_coverage final;
   Printf.printf

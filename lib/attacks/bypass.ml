@@ -1,5 +1,6 @@
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 module Opt = Fl_netlist.Opt
 module Formula = Fl_cnf.Formula
 module Tseytin = Fl_cnf.Tseytin
@@ -169,7 +170,7 @@ let build_repair locked ~key ~cubes =
   repaired, Circuit.num_gates repaired - Circuit.num_gates core
 
 let run ?(max_cubes = 32) ?(timeout = 30.0) ?(seed = 0xb1fa55) locked =
-  if not (Circuit.is_acyclic locked.Locked.locked) then
+  if not (View.is_acyclic (View.of_circuit locked.Locked.locked)) then
     invalid_arg "Bypass.run: cyclic locked netlist";
   let deadline = Unix.gettimeofday () +. timeout in
   let rng = Random.State.make [| seed |] in

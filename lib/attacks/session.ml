@@ -322,12 +322,6 @@ let emit_record s name ?dip ?(screened = false) delta =
 let max_pool_keys = 6
 let screen_passes_per_call = 4
 
-(* 63 random bits; [Random.State.bits] yields 30 per call. *)
-let random_word rng =
-  Random.State.bits rng
-  lor (Random.State.bits rng lsl 30)
-  lor (Random.State.bits rng lsl 60)
-
 (* A pool key stays only while the locked circuit under it settles to the
    observed oracle outputs — i.e. while it remains a witness consistent
    with the whole observation set. *)
@@ -362,14 +356,13 @@ let screen_dip s =
         let inputs =
           match s.last_observed with
           | Some base when remaining mod 2 = 0 ->
+            (* Sparse noise: each bit is set with probability 1/8, the AND
+               of three consecutive random words. *)
+            let base = View.broadcast base in
+            let r = View.random_words s.screen_rng ~width:(3 * n) in
             Array.init n (fun j ->
-                let noise =
-                  random_word s.screen_rng
-                  land random_word s.screen_rng
-                  land random_word s.screen_rng
-                in
-                (if base.(j) then -1 else 0) lxor noise)
-          | _ -> Array.init n (fun _ -> random_word s.screen_rng)
+                base.(j) lxor (r.(3 * j) land r.((3 * j) + 1) land r.((3 * j) + 2)))
+          | _ -> View.random_words s.screen_rng ~width:n
         in
         let words =
           List.map

@@ -1,5 +1,6 @@
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 
 type node = int
 (* 0 = false, 1 = true, >= 2 internal *)
@@ -164,7 +165,11 @@ let any_sat m n =
   end
 
 let of_circuit m c ~keys =
-  if not (Circuit.is_acyclic c) then invalid_arg "Bdd.of_circuit: cyclic circuit";
+  let order =
+    match View.topo_order (View.of_circuit c) with
+    | Some order -> order
+    | None -> invalid_arg "Bdd.of_circuit: cyclic circuit"
+  in
   if Circuit.num_inputs c <> m.nvars then
     invalid_arg "Bdd.of_circuit: manager variable count must equal input count";
   if Array.length keys <> Circuit.num_keys c then
@@ -175,7 +180,6 @@ let of_circuit m c ~keys =
   Array.iteri
     (fun i id -> node_bdd.(id) <- (if keys.(i) then tru else fls))
     c.Circuit.keys;
-  let order = Option.get (Circuit.topological_order c) in
   let fold_binary op neutral fanins =
     Array.fold_left (fun acc f -> op acc node_bdd.(f)) neutral fanins
   in

@@ -152,6 +152,26 @@ let parse_plr_sizes text =
            | [ size ] -> [ int_of_string (String.trim size) ]
            | _ -> invalid_arg "Fulllock.parse_plr_sizes")
 
+let lock_scheme rng ~scheme ~plr ~cyclic ~key_bits c =
+  match scheme with
+  | "full-lock" ->
+    let configs = List.map (fun n -> default_config ~n) (parse_plr_sizes plr) in
+    lock rng ~policy:(if cyclic then `Cyclic else `Acyclic) ~configs c
+  | "rll" -> Fl_locking.Rll.lock rng ~key_bits c
+  | "mux" -> Fl_locking.Mux_lock.lock rng ~key_bits c
+  | "sarlock" -> Fl_locking.Sarlock.lock rng ~key_bits c
+  | "antisat" -> Fl_locking.Antisat.lock rng ~key_bits c
+  | "lutlock" -> Fl_locking.Lut_lock.lock rng ~gates:(max 1 (key_bits / 4)) c
+  | "crosslock" -> Fl_locking.Cross_lock.lock rng ~n:(max 2 key_bits) c
+  | "sfll" -> Fl_locking.Sfll.lock rng ~key_bits ~h:(max 0 (key_bits / 8)) c
+  | "cyclic" -> Fl_locking.Cyclic_lock.lock rng ~cycles:key_bits c
+  | other ->
+    invalid_arg
+      (Printf.sprintf
+         "unknown scheme %S (full-lock, rll, mux, sarlock, antisat, sfll, \
+          lutlock, crosslock, cyclic)"
+         other)
+
 let pp_config fmt config =
   Format.fprintf fmt "PLR{%a%s%s}" Cln.pp_spec config.cln
     (if config.lut_layer then ", LUT layer" else "")

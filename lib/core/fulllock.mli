@@ -69,4 +69,21 @@ val standalone_cln_lock : Fl_cln.Cln.spec -> Random.State.t -> Fl_locking.Locked
     CLNs plus one with an 8-wire CLN). *)
 val parse_plr_sizes : string -> int list
 
+(** [lock_scheme rng ~scheme ~plr ~cyclic ~key_bits c] locks [c] with the
+    scheme named [scheme]: ["full-lock"] inserts the PLRs [plr] (as
+    {!parse_plr_sizes}) under the [`Cyclic] policy when [cyclic] holds;
+    ["rll"], ["mux"], ["sarlock"], ["antisat"], ["lutlock"], ["crosslock"],
+    ["sfll"] and ["cyclic"] derive their sizes from [key_bits].  The one
+    scheme table of the command line and the attack daemon.
+    @raise Invalid_argument on an unknown scheme name, or when the scheme
+    cannot be inserted. *)
+val lock_scheme :
+  Random.State.t ->
+  scheme:string ->
+  plr:string ->
+  cyclic:bool ->
+  key_bits:int ->
+  Fl_netlist.Circuit.t ->
+  Fl_locking.Locked.t
+
 val pp_config : Format.formatter -> config -> unit

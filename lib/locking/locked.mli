@@ -2,7 +2,9 @@
 
     Every locking scheme in this library (and Full-Lock itself) produces this
     record; every attack consumes it.  The [oracle] is the original,
-    key-free netlist — the attacker may only query it as a black box. *)
+    key-free netlist — the attacker may only query it as a black box.
+    Every query, key check and corruption estimate below simulates the two
+    circuits through their cached {!Fl_netlist.View}s. *)
 
 type t = {
   locked : Fl_netlist.Circuit.t;
@@ -15,7 +17,7 @@ type t = {
 val query_oracle : t -> bool array -> bool array
 
 (** [eval_locked t ~key ~inputs] evaluates the locked netlist; cyclic locked
-    circuits that do not settle under [key] raise {!Fl_netlist.Sim.Unresolved}. *)
+    circuits that do not settle under [key] raise {!Fl_netlist.View.Unresolved}. *)
 val eval_locked : t -> key:bool array -> inputs:bool array -> bool array
 
 (** [verify t] checks that the locked circuit under [correct_key] matches
@@ -28,17 +30,13 @@ val verify : ?exhaustive_limit:int -> ?vectors:int -> ?seed:int -> t -> bool
 val key_matches :
   ?exhaustive_limit:int -> ?vectors:int -> ?seed:int -> t -> key:bool array -> bool
 
-(** [output_corruption t ~trials ~vectors rng] is the average fraction of
-    output bits that differ from the oracle under uniformly random wrong
-    keys — the paper's output-corruption argument against SARLock-style
-    schemes (§2).  Unsettled cyclic evaluations count as fully corrupted. *)
+(** [output_corruption t rng] is the fraction of output bits that differ
+    from the oracle under [trials] (default 16) uniformly random wrong keys,
+    each applied to [batches] (default 2) batches of {!Fl_netlist.View.lanes}
+    random input vectors on the word evaluator — the paper's
+    output-corruption argument against SARLock-style schemes (§2).  Lanes
+    that do not settle under a cyclic wrong key count as corrupted. *)
 val output_corruption :
-  ?trials:int -> ?vectors:int -> t -> Random.State.t -> float
-
-(** [output_corruption_fast t rng] — like {!output_corruption} but using
-    the 63-lane word-level simulator ({!Fl_netlist.Sim_word}); [batches]
-    packed batches of 63 vectors per wrong key (default 2). *)
-val output_corruption_fast :
   ?trials:int -> ?batches:int -> t -> Random.State.t -> float
 
 val num_key_bits : t -> int

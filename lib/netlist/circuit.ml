@@ -251,7 +251,7 @@ let fanouts c =
     c.nodes;
   result
 
-let compute_topological_order c =
+let topological_order c =
   (* Kahn's algorithm; duplicate fanin edges are counted on both sides, which
      keeps the decrements symmetric. *)
   let n = Array.length c.nodes in
@@ -275,32 +275,6 @@ let compute_topological_order c =
       fan_out.(id)
   done;
   if !filled = n then Some order else None
-
-(* Memoized per circuit physical identity (circuits are immutable).  The
-   ephemeron keys let cached orders die with their circuits.  Consumers must
-   treat the returned array as read-only — it is shared.  The table itself
-   is domain-local (Fl_par workers each memoize their own orders), so no
-   lock sits on this hot lookup. *)
-module Topo_cache = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash c = Hashtbl.hash (Array.length c.nodes, c.name)
-end)
-
-let topo_cache_key : int array option Topo_cache.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Topo_cache.create 64)
-
-let topological_order c =
-  let topo_cache = Domain.DLS.get topo_cache_key in
-  match Topo_cache.find_opt topo_cache c with
-  | Some r -> r
-  | None ->
-    let r = compute_topological_order c in
-    Topo_cache.replace topo_cache c r;
-    r
-
-let is_acyclic c = topological_order c <> None
 
 let transitive_fanin c id =
   let n = Array.length c.nodes in
@@ -424,21 +398,6 @@ let kind_histogram c =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let depth c =
-  match topological_order c with
-  | None -> None
-  | Some order ->
-    let level = Array.make (Array.length c.nodes) 0 in
-    Array.iter
-      (fun id ->
-        let nd = c.nodes.(id) in
-        if Array.length nd.fanins > 0 then begin
-          let m = Array.fold_left (fun acc f -> max acc level.(f)) 0 nd.fanins in
-          level.(id) <- m + 1
-        end)
-      order;
-    Some (Array.fold_left max 0 level)
-
 let validate c =
   let n = Array.length c.nodes in
   let seen_names = Hashtbl.create n in
@@ -484,7 +443,7 @@ let pp_stats fmt c =
     "@[<v>circuit %s: %d nodes, %d gates, %d inputs, %d keys, %d outputs%s@,%a@]"
     c.name (num_nodes c) (num_gates c) (num_inputs c) (num_keys c)
     (num_outputs c)
-    (if is_acyclic c then "" else " (cyclic)")
+    (if topological_order c = None then " (cyclic)" else "")
     (Format.pp_print_list
        ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
        (fun f (k, v) -> Format.fprintf f "%s:%d" k v))

@@ -111,16 +111,10 @@ val fanouts : t -> int array array
 (** {1 Structure} *)
 
 (** [topological_order c] is [Some order] (fanins before fanouts) when the
-    circuit is acyclic, [None] otherwise.  Memoized per circuit physical
-    identity; do not mutate the returned array. *)
+    circuit is acyclic, [None] otherwise — a fresh O(N) sort per call.
+    {!View.topo_order}, {!View.is_acyclic} and {!View.depth} are the cached
+    analyses built on it. *)
 val topological_order : t -> int array option
-
-(** [compute_topological_order c] is {!topological_order} without the memo
-    table — a fresh O(N) sort per call.  Exists as the honest uncached
-    reference path for benchmarks and differential tests. *)
-val compute_topological_order : t -> int array option
-
-val is_acyclic : t -> bool
 
 (** [transitive_fanin c id] is the set of node ids that can reach [id]
     (including [id]), as a boolean id-indexed mask. *)
@@ -141,10 +135,6 @@ val find_cycles : t -> limit:int -> int list list
 
 (** Count of nodes per gate kind name, e.g. [("nand", 12)]. *)
 val kind_histogram : t -> (string * int) list
-
-(** Levelised logic depth (longest path from any input), or [None] if
-    cyclic. *)
-val depth : t -> int option
 
 (** [validate c] re-checks all structural invariants.
     @raise Invalid_argument with a diagnostic when one fails. *)

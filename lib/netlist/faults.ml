@@ -11,51 +11,41 @@ let enumerate c =
   done;
   !result
 
-let detects c ~keys ~inputs fault =
-  let v = View.of_circuit c in
-  let good = View.eval_words v ~inputs ~keys in
-  let faulty =
-    View.eval_words_stuck v ~inputs ~keys ~node:fault.node ~value:fault.stuck_at
+type test_set = {
+  view : View.t;
+  keys : int array;
+  batches : (int array * View.word array) list;  (* inputs, good response *)
+}
+
+let test_set c ~keys vectors =
+  let view = View.of_circuit c in
+  let keys = View.broadcast keys in
+  let batches =
+    List.map
+      (fun inputs -> inputs, View.eval_words view ~inputs ~keys)
+      (View.pack vectors)
   in
-  let hit = ref false in
-  Array.iteri
-    (fun i g ->
-      let f = faulty.(i) in
-      (* Detected where the good machine settles and the faulty machine
-         either settles to a different value or fails to settle. *)
-      let diff =
-        g.View.defined
-        land ((f.View.defined land (g.View.value lxor f.View.value))
-              lor lnot f.View.defined)
-      in
-      if diff <> 0 then hit := true)
-    good;
-  !hit
+  { view; keys; batches }
+
+(* Some lane where the good machine settles and the faulty machine settles
+   to the other value or not at all. *)
+let differs (g : View.word) (f : View.word) =
+  g.defined land ((f.defined land (g.value lxor f.value)) lor lnot f.defined) <> 0
+
+let detects t fault =
+  List.exists
+    (fun (inputs, good) ->
+      Array.exists2 differs good
+        (View.eval_words_stuck t.view ~inputs ~keys:t.keys ~node:fault.node
+           ~value:fault.stuck_at))
+    t.batches
 
 type coverage = { total : int; detected : int; undetected : fault list }
 
 let coverage c ~keys ~vectors =
-  let packed_keys = Array.map (fun b -> if b then -1 else 0) keys in
-  (* Pack the test set into batches of [lanes] vectors. *)
-  let rec batches acc current count = function
-    | [] -> if current = [] then List.rev acc else List.rev (List.rev current :: acc)
-    | v :: rest ->
-      if count = Sim_word.lanes then batches (List.rev current :: acc) [ v ] 1 rest
-      else batches acc (v :: current) (count + 1) rest
-  in
-  let packed_batches =
-    List.map Sim_word.pack (batches [] [] 0 vectors)
-  in
+  let t = test_set c ~keys vectors in
   let faults = enumerate c in
-  let undetected =
-    List.filter
-      (fun fault ->
-        not
-          (List.exists
-             (fun inputs -> detects c ~keys:packed_keys ~inputs fault)
-             packed_batches))
-      faults
-  in
+  let undetected = List.filter (fun fault -> not (detects t fault)) faults in
   {
     total = List.length faults;
     detected = List.length faults - List.length undetected;

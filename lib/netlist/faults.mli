@@ -2,9 +2,10 @@
 
     The classic manufacturing-test model: a fault fixes one gate output (or
     primary input) at 0 or 1; a test vector {e detects} it when some primary
-    output differs from the fault-free response.  Fault simulation is
-    word-parallel (63 vectors per pass, on {!View}'s compiled evaluator),
-    serial in faults.
+    output differs from the fault-free response.  Fault simulation runs on
+    {!View}'s compiled word evaluator: the test set is packed
+    {!View.lanes} vectors per batch, the good machine is simulated once per
+    batch, and each fault costs at most one faulty-machine pass per batch.
 
     Logic locking interacts with testability in both directions: an
     unactivated (wrongly keyed) circuit cannot be meaningfully tested, and
@@ -21,11 +22,19 @@ type fault = {
     activation, not testable logic). *)
 val enumerate : Circuit.t -> fault list
 
-(** [detects c ~keys ~inputs fault] — whether any of the packed test vectors
-    detects [fault] (the key word vector is applied to both good and faulty
-    machine).  Cyclic circuits use fixpoint evaluation; lanes that settle
-    differently (or only one machine settles) count as detections. *)
-val detects : Circuit.t -> keys:int array -> inputs:int array -> fault -> bool
+(** A test set packed into {!View.lanes}-wide batches, with the fault-free
+    response of every batch simulated once. *)
+type test_set
+
+(** [test_set c ~keys vectors] packs [vectors] and simulates the good
+    machine under the scalar [keys] (applied to the faulty machines too). *)
+val test_set : Circuit.t -> keys:bool array -> bool array list -> test_set
+
+(** [detects t fault] — whether some vector of [t] detects [fault]: one
+    faulty-machine pass per batch, compared with the stored good response.
+    Cyclic circuits use fixpoint evaluation; lanes that settle differently
+    (or settle only in the good machine) count as detections. *)
+val detects : test_set -> fault -> bool
 
 type coverage = {
   total : int;

@@ -1,13 +1,11 @@
-type tristate = View.tristate = V0 | V1 | VX
+(* The interpretive walk, re-sorting the circuit every call: the uncached
+   baseline that {!View}'s compiled evaluator is tested and timed against. *)
 
-exception Unresolved = View.Unresolved
+open struct
+  type tristate = View.tristate = V0 | V1 | VX
+end
 
 let tri_of_bool b = if b then V1 else V0
-
-(* The hot entry points below delegate to the compiled, memoized evaluator
-   in {!View}; the [_reference] variants keep the original interpretive
-   walk (re-sorting the circuit every call) as the uncached baseline for
-   differential tests and benchmarks. *)
 
 let check_widths c ~inputs ~keys =
   if Array.length inputs <> Circuit.num_inputs c then
@@ -62,7 +60,7 @@ let node_values c ~inputs ~keys =
     | Gate.Const b -> tri_of_bool b
     | kind -> eval_gate_tri kind (Array.map (fun f -> values.(f)) nd.Circuit.fanins)
   in
-  (match Circuit.compute_topological_order c with
+  (match Circuit.topological_order c with
    | Some order -> Array.iter (fun id -> values.(id) <- eval_node id) order
    | None ->
      (* Fixpoint iteration for cyclic circuits.  Values move monotonically
@@ -97,16 +95,8 @@ let eval_reference c ~inputs ~keys =
       | V1 -> true
       | VX ->
         let port, _ = c.Circuit.outputs.(i) in
-        raise (Unresolved port))
+        raise (View.Unresolved port))
     out
-
-let eval_node_values c ~inputs ~keys =
-  View.eval_node_values (View.of_circuit c) ~inputs ~keys
-
-let eval_tristate c ~inputs ~keys =
-  View.eval_tristate (View.of_circuit c) ~inputs ~keys
-
-let eval c ~inputs ~keys = View.eval (View.of_circuit c) ~inputs ~keys
 
 let vector_of_int ~width v = Array.init width (fun i -> v land (1 lsl i) <> 0)
 
@@ -116,32 +106,3 @@ let int_of_vector bits =
   |> List.fold_left (fun acc b -> (acc lsl 1) lor (if b then 1 else 0)) 0
 
 let random_vector rng width = Array.init width (fun _ -> Random.State.bool rng)
-
-let settles ?(probes = 8) ?(seed = 0) c ~keys =
-  let rng = Random.State.make [| seed |] in
-  let v = View.of_circuit c in
-  let width = Circuit.num_inputs c in
-  let rec go i =
-    if i >= probes then true
-    else
-      let inputs = random_vector rng width in
-      let out = View.eval_tristate v ~inputs ~keys in
-      if Array.exists (fun x -> x = VX) out then false else go (i + 1)
-  in
-  go 0
-
-let equal_on_vectors a b ~keys_a ~keys_b ~vectors =
-  let va = View.of_circuit a and vb = View.of_circuit b in
-  List.for_all
-    (fun inputs ->
-      try View.eval va ~inputs ~keys:keys_a = View.eval vb ~inputs ~keys:keys_b
-      with Unresolved _ -> false)
-    vectors
-
-let equivalent_exhaustive a b ~keys_a ~keys_b =
-  let n = Circuit.num_inputs a in
-  if n <> Circuit.num_inputs b then
-    invalid_arg "Sim.equivalent_exhaustive: input counts differ";
-  if n > 20 then invalid_arg "Sim.equivalent_exhaustive: too many inputs";
-  let vectors = List.init (1 lsl n) (fun v -> vector_of_int ~width:n v) in
-  equal_on_vectors a b ~keys_a ~keys_b ~vectors

@@ -1,54 +1,24 @@
-(** Functional simulation of circuits.
+(** Interpretive reference simulation and scalar vector helpers.
 
-    Acyclic circuits are evaluated in topological order.  Cyclic circuits
-    (produced by cyclic PLR insertion) are evaluated with three-valued
-    (0/1/X) fixpoint iteration: with a key that functionally opens every
-    cycle, all outputs resolve to 0/1.
+    Circuits are evaluated through {!View}, the one compiled and cached
+    evaluator.  This module keeps the original interpretive walk as the
+    uncached reference that the equivalence tests and the throughput
+    benchmark compare {!View} against: acyclic circuits are evaluated in a
+    fresh topological order every call, cyclic circuits (produced by cyclic
+    PLR insertion) by three-valued (0/1/X) fixpoint iteration, so with a
+    key that functionally opens every cycle all outputs resolve to 0/1. *)
 
-    This module is a thin wrapper over {!View}: evaluation goes through the
-    per-circuit compiled evaluator, memoized by circuit physical identity.
-    The [_reference] entry points keep the original interpretive walk (a
-    fresh topological sort every call) as the uncached baseline for
-    differential tests and benchmarks. *)
-
-(** Three-valued logic value (re-export of {!View.tristate}). *)
-type tristate = View.tristate = V0 | V1 | VX
-
-exception Unresolved of string
-(** Raised by {!eval} when a cyclic circuit leaves an output at X
-    (re-export of {!View.Unresolved}). *)
-
-(** [eval c ~inputs ~keys] is the output vector (in [c.outputs] order).
+(** [eval_reference c ~inputs ~keys] is the output vector (in [c.outputs]
+    order).
     @raise Invalid_argument on input/key length mismatch.
-    @raise Unresolved when a combinational cycle does not settle. *)
-val eval : Circuit.t -> inputs:bool array -> keys:bool array -> bool array
-
-(** [eval_tristate c ~inputs ~keys] never raises on unsettled cycles; the
-    returned vector may contain [VX]. *)
-val eval_tristate :
-  Circuit.t -> inputs:bool array -> keys:bool array -> tristate array
-
-(** [eval_node_values c ~inputs ~keys] is the settled value of every node
-    (id-indexed), for attacks that observe internal wires. *)
-val eval_node_values :
-  Circuit.t -> inputs:bool array -> keys:bool array -> tristate array
-
-(** {1 Uncached reference paths}
-
-    Semantically identical to {!eval}/{!eval_tristate} but interpretive and
-    unmemoized (each call pays a fresh topological sort).  Used by the
-    equivalence property tests and the throughput benchmark. *)
-
+    @raise View.Unresolved when a combinational cycle does not settle. *)
 val eval_reference :
   Circuit.t -> inputs:bool array -> keys:bool array -> bool array
 
+(** [eval_tristate_reference c ~inputs ~keys] never raises on unsettled
+    cycles; the returned vector may contain [VX]. *)
 val eval_tristate_reference :
-  Circuit.t -> inputs:bool array -> keys:bool array -> tristate array
-
-(** [settles c ~keys] is whether a random-probe of the circuit under [keys]
-    settles (no X output) on a handful of random input vectors — a cheap
-    check that a key functionally opens all cycles. *)
-val settles : ?probes:int -> ?seed:int -> Circuit.t -> keys:bool array -> bool
+  Circuit.t -> inputs:bool array -> keys:bool array -> View.tristate array
 
 (** {1 Vector helpers} *)
 
@@ -59,19 +29,3 @@ val int_of_vector : bool array -> int
 
 (** [random_vector rng width] draws a uniform bit vector. *)
 val random_vector : Random.State.t -> int -> bool array
-
-(** [equal_on_vectors a b ~keys_a ~keys_b ~vectors] checks output equality of
-    two circuits with the same PI count on the given input vectors. *)
-val equal_on_vectors :
-  Circuit.t ->
-  Circuit.t ->
-  keys_a:bool array ->
-  keys_b:bool array ->
-  vectors:bool array list ->
-  bool
-
-(** [equivalent_exhaustive a b ~keys_a ~keys_b] checks equality on all 2^n
-    input vectors (intended for small n).
-    @raise Invalid_argument when the PI counts differ or exceed 20. *)
-val equivalent_exhaustive :
-  Circuit.t -> Circuit.t -> keys_a:bool array -> keys_b:bool array -> bool

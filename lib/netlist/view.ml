@@ -62,7 +62,6 @@ type t = {
   coi_memo : (int, bool array) Hashtbl.t;  (* node id -> transitive fanin *)
 }
 
-let circuit v = v.circuit
 let topo_order v = v.topo
 let is_acyclic v = v.topo <> None
 
@@ -522,10 +521,6 @@ let eval v ~inputs ~keys =
       else v.value.(id) land 1 = 1)
     v.circuit.Circuit.outputs
 
-let eval_node_values v ~inputs ~keys =
-  run_bools v ~inputs ~keys;
-  Array.init (Circuit.num_nodes v.circuit) (tristate_of v)
-
 let output_words v =
   Array.map
     (fun (_, id) -> { defined = v.defined.(id); value = v.value.(id) })
@@ -555,15 +550,35 @@ let eval_packed v ~inputs ~keys =
 
 let broadcast bits = Array.map (fun b -> if b then all_ones else 0) bits
 
+(* Lane [l] of a batch carries vector [l mod used], so a short last batch
+   repeats its own vectors instead of simulating an all-zero one. *)
+let pack vectors =
+  let vs = Array.of_list vectors in
+  let total = Array.length vs in
+  let width = if total = 0 then 0 else Array.length vs.(0) in
+  Array.iter
+    (fun v -> if Array.length v <> width then invalid_arg "View.pack: ragged vectors")
+    vs;
+  List.init ((total + lanes - 1) / lanes) (fun b ->
+      let base = b * lanes in
+      let used = min lanes (total - base) in
+      Array.init width (fun j ->
+          let w = ref 0 in
+          for l = 0 to lanes - 1 do
+            if vs.(base + (l mod used)).(j) then w := !w lor (1 lsl l)
+          done;
+          !w))
+
+let random_words rng ~width =
+  (* int_size random bits from two 30-bit draws and one top-slice draw. *)
+  Array.init width (fun _ ->
+      Random.State.bits rng
+      lor (Random.State.bits rng lsl 30)
+      lor (Random.State.bits rng lsl 60))
+
 (* ------------------------------------------------------------------ *)
 (* Key-correctness probing                                             *)
 (* ------------------------------------------------------------------ *)
-
-let random_word rng =
-  (* int_size random bits from two 30-bit draws and one top-slice draw. *)
-  Random.State.bits rng
-  lor (Random.State.bits rng lsl 30)
-  lor (Random.State.bits rng lsl 60)
 
 (* Outputs of the two views (already evaluated) agree on every lane of
    [mask]; an undefined lane on either side is a disagreement. *)
@@ -589,8 +604,7 @@ let agree_on_probes ?(exhaustive_limit = 10) ?(vectors = 256) ?(seed = 7) va
      <> Array.length (vb.circuit.Circuit.outputs)
   then invalid_arg "View.agree_on_probes: output counts differ";
   let ka = broadcast keys_a and kb = broadcast keys_b in
-  let inputs = Array.make n 0 in
-  let probe used =
+  let probe inputs used =
     let mask = if used >= lanes then all_ones else (1 lsl used) - 1 in
     run_packed va ~inputs ~keys:ka;
     (* va's scratch arrays survive vb's evaluation: each view owns its
@@ -604,14 +618,15 @@ let agree_on_probes ?(exhaustive_limit = 10) ?(vectors = 256) ?(seed = 7) va
       base >= space
       ||
       let used = min lanes (space - base) in
-      for j = 0 to n - 1 do
-        let w = ref 0 in
-        for l = 0 to used - 1 do
-          if (base + l) land (1 lsl j) <> 0 then w := !w lor (1 lsl l)
-        done;
-        inputs.(j) <- !w
-      done;
-      probe used && go (base + used)
+      let inputs =
+        Array.init n (fun j ->
+            let w = ref 0 in
+            for l = 0 to used - 1 do
+              if (base + l) land (1 lsl j) <> 0 then w := !w lor (1 lsl l)
+            done;
+            !w)
+      in
+      probe inputs used && go (base + used)
     in
     go 0
   end
@@ -621,10 +636,7 @@ let agree_on_probes ?(exhaustive_limit = 10) ?(vectors = 256) ?(seed = 7) va
       remaining <= 0
       ||
       let used = min lanes remaining in
-      for j = 0 to n - 1 do
-        inputs.(j) <- random_word rng
-      done;
-      probe used && go (remaining - used)
+      probe (random_words rng ~width:n) used && go (remaining - used)
     in
     go vectors
   end

@@ -12,8 +12,10 @@
     ephemeron-keyed, so views die with their circuits, and {e domain-local}:
     each domain builds and caches its own view of a circuit, because the
     scratch arrays below are single-threaded state.  [Fl_par] sweep tasks
-    therefore get an isolated view per worker domain for free.  [Sim] and
-    [Sim_word] are thin wrappers over this module and share one backend.
+    therefore get an isolated view per worker domain for free.  This is the
+    only evaluator and the only per-circuit cache of the netlist layer;
+    {!Sim} keeps just the uncached interpretive reference that tests
+    compare it against.
 
     Views are not re-entrant: the scratch value arrays are reused by every
     evaluation, so do not evaluate the same view from within an evaluation
@@ -22,18 +24,16 @@
 
 type t
 
-(** Three-valued logic value (the canonical definition; [Sim.tristate] is a
-    re-export). *)
+(** Three-valued logic value. *)
 type tristate = V0 | V1 | VX
 
 exception Unresolved of string
 (** Raised by the strict evaluators when a combinational cycle leaves an
-    output at X.  [Sim.Unresolved] is a re-export of this exception. *)
+    output at X. *)
 
 type word = { defined : int; value : int }
 (** Per-wire lane bundle of the bitsliced evaluator; bit [i] of [value] is
-    meaningful only when bit [i] of [defined] is set.  [Sim_word.word] is a
-    re-export. *)
+    meaningful only when bit [i] of [defined] is set. *)
 
 (** Number of parallel lanes of the word evaluator (= [Sys.int_size]). *)
 val lanes : int
@@ -42,12 +42,11 @@ val lanes : int
     first use. *)
 val of_circuit : Circuit.t -> t
 
-val circuit : t -> Circuit.t
-
 (** {1 Cached structural analyses} *)
 
-(** Cached {!Circuit.topological_order}.  Do not mutate the returned
-    array — it is shared by every consumer of the view. *)
+(** Cached {!Circuit.topological_order} ([None] when cyclic).  Do not
+    mutate the returned array — it is shared by every consumer of the
+    view. *)
 val topo_order : t -> int array option
 
 val is_acyclic : t -> bool
@@ -56,7 +55,8 @@ val is_acyclic : t -> bool
     when cyclic.  Shared array — do not mutate. *)
 val levels : t -> int array option
 
-(** Levelised logic depth, as {!Circuit.depth}. *)
+(** Levelised logic depth (longest path from any source, the maximum of
+    {!levels}), or [None] when cyclic. *)
 val depth : t -> int option
 
 (** Cached {!Circuit.fanouts}.  Shared — do not mutate. *)
@@ -117,11 +117,6 @@ val eval : t -> inputs:bool array -> keys:bool array -> bool array
 (** [eval_tristate v ~inputs ~keys] never raises on unsettled cycles. *)
 val eval_tristate : t -> inputs:bool array -> keys:bool array -> tristate array
 
-(** [eval_node_values v ~inputs ~keys] — settled value of every node,
-    id-indexed (freshly allocated). *)
-val eval_node_values :
-  t -> inputs:bool array -> keys:bool array -> tristate array
-
 (** [eval_words v ~inputs ~keys] — bitsliced evaluation of {!lanes} input
     vectors at once; input/key words are treated as fully defined. *)
 val eval_words : t -> inputs:int array -> keys:int array -> word array
@@ -141,11 +136,24 @@ val eval_packed : t -> inputs:int array -> keys:int array -> int array
     inputs. *)
 val broadcast : bool array -> int array
 
+(** [pack vectors] packs scalar vectors of equal width into batches of
+    packed input words, {!lanes} vectors per batch in list order.  The last
+    batch repeats its own vectors in its unused lanes, so every lane of
+    every batch carries one of [vectors]; [pack []] is [[]].
+    @raise Invalid_argument on vectors of different widths. *)
+val pack : bool array list -> int array list
+
+(** [random_words rng ~width] draws [width] uniformly random packed words
+    ({!lanes} random vectors). *)
+val random_words : Random.State.t -> width:int -> int array
+
 (** {1 Key-correctness probing}
 
-    The shared "do two circuits agree" helper used by key verification
-    ([Locked.key_matches]) and attack post-checks ([Removal]): exhaustive
-    when the input space is small, word-batched random probes otherwise. *)
+    The one simulation-based "do two circuits agree" check, used by key
+    verification ([Locked.key_matches]), attack post-checks ([Removal]) and
+    the tests: exhaustive when the input space is small (pass a larger
+    [exhaustive_limit] for an exhaustive comparison), word-batched random
+    probes otherwise. *)
 
 (** [agree_on_probes a ~keys_a b ~keys_b] is whether [a] under [keys_a] and
     [b] under [keys_b] produce identical outputs — on all [2^n] input

@@ -1,7 +1,7 @@
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
 module Faults = Fl_netlist.Faults
-module Sim_word = Fl_netlist.Sim_word
+module View = Fl_netlist.View
 module Formula = Fl_cnf.Formula
 module Tseytin = Fl_cnf.Tseytin
 
@@ -46,7 +46,7 @@ type report = {
 }
 
 let generate ?(budget = Cdcl.no_budget) c ~keys ~node ~stuck_at =
-  if not (Circuit.is_acyclic c) then
+  if not (View.is_acyclic (View.of_circuit c)) then
     invalid_arg "Atpg.generate: cyclic circuit";
   if Array.length keys <> Circuit.num_keys c then
     invalid_arg "Atpg.generate: key length mismatch";
@@ -69,34 +69,23 @@ let generate ?(budget = Cdcl.no_budget) c ~keys ~node ~stuck_at =
   | Cdcl.Unknown -> Unknown
 
 let cover ?(budget_per_fault = 5.0) c ~keys ~faults =
-  let packed_keys = Array.map (fun b -> if b then -1 else 0) keys in
   let tests = ref [] in
   let testable = ref 0 and untestable = ref 0 and unknown = ref 0 in
-  (* Packed batches of the accumulated test set, rebuilt lazily. *)
-  let batches = ref [] in
-  let stale = ref false in
-  let rebuild () =
-    if !stale then begin
-      let rec chunk acc current count = function
-        | [] -> if current = [] then acc else List.rev current :: acc
-        | v :: rest ->
-          if count = Sim_word.lanes then chunk (List.rev current :: acc) [ v ] 1 rest
-          else chunk acc (v :: current) (count + 1) rest
-      in
-      batches := List.map Sim_word.pack (chunk [] [] 0 !tests);
-      stale := false
-    end
+  (* The accumulated test set with its good responses, rebuilt after a new
+     test is added. *)
+  let known = ref None in
+  let test_set () =
+    match !known with
+    | Some t -> t
+    | None ->
+      let t = Faults.test_set c ~keys !tests in
+      known := Some t;
+      t
   in
   List.iter
     (fun (node, stuck_at) ->
-      rebuild ();
-      let fault = { Faults.node; stuck_at } in
-      let already =
-        List.exists
-          (fun inputs -> Faults.detects c ~keys:packed_keys ~inputs fault)
-          !batches
-      in
-      if already then incr testable
+      if Faults.detects (test_set ()) { Faults.node; stuck_at } then
+        incr testable
       else
         match
           generate ~budget:(Cdcl.budget_seconds budget_per_fault) c ~keys ~node
@@ -105,7 +94,7 @@ let cover ?(budget_per_fault = 5.0) c ~keys ~faults =
         | Test v ->
           incr testable;
           tests := v :: !tests;
-          stale := true
+          known := None
         | Untestable -> incr untestable
         | Unknown -> incr unknown)
     faults;

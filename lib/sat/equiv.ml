@@ -1,4 +1,5 @@
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 module Formula = Fl_cnf.Formula
 module Tseytin = Fl_cnf.Tseytin
 
@@ -12,7 +13,8 @@ let check ?(budget = Cdcl.no_budget) ?(keys_a = [||]) ?(keys_b = [||]) a b =
     invalid_arg "Equiv.check: input counts differ";
   if Circuit.num_outputs a <> Circuit.num_outputs b then
     invalid_arg "Equiv.check: output counts differ";
-  if not (Circuit.is_acyclic a && Circuit.is_acyclic b) then
+  let acyclic c = View.is_acyclic (View.of_circuit c) in
+  if not (acyclic a && acyclic b) then
     invalid_arg "Equiv.check: cyclic circuit (CNF equivalence would be unsound)";
   if Array.length keys_a <> Circuit.num_keys a then
     invalid_arg "Equiv.check: key length mismatch for first circuit";

@@ -183,37 +183,14 @@ let with_request_sink (req : Protocol.request) conn f =
 (* Ops                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Raising twin of the CLI's scheme dispatcher. *)
-let lock_scheme rng (req : Protocol.request) c =
-  let key_bits = req.Protocol.key_bits in
-  match req.Protocol.scheme with
-  | "full-lock" ->
-    let sizes = Fulllock.parse_plr_sizes req.Protocol.plr in
-    let configs = List.map (fun n -> Fulllock.default_config ~n) sizes in
-    Fulllock.lock rng
-      ~policy:(if req.Protocol.cyclic then `Cyclic else `Acyclic)
-      ~configs c
-  | "rll" -> Fl_locking.Rll.lock rng ~key_bits c
-  | "mux" -> Fl_locking.Mux_lock.lock rng ~key_bits c
-  | "sarlock" -> Fl_locking.Sarlock.lock rng ~key_bits c
-  | "antisat" -> Fl_locking.Antisat.lock rng ~key_bits c
-  | "lutlock" -> Fl_locking.Lut_lock.lock rng ~gates:(max 1 (key_bits / 4)) c
-  | "crosslock" -> Fl_locking.Cross_lock.lock rng ~n:(max 2 key_bits) c
-  | "sfll" ->
-    Fl_locking.Sfll.lock rng ~key_bits ~h:(max 0 (key_bits / 8)) c
-  | "cyclic" -> Fl_locking.Cyclic_lock.lock rng ~cycles:key_bits c
-  | other ->
-    reject
-      "unknown scheme %S (full-lock, rll, mux, sarlock, antisat, sfll, \
-       lutlock, crosslock, cyclic)"
-      other
-
 let run_lock t (req : Protocol.request) conn =
   let text = require "circuit" req.Protocol.circuit in
   let c, hit = Cache.circuit_of_text t.cache text in
   let rng = Random.State.make [| req.Protocol.seed |] in
   let bundle =
-    try lock_scheme rng req c
+    try
+      Fulllock.lock_scheme rng ~scheme:req.Protocol.scheme ~plr:req.Protocol.plr
+        ~cyclic:req.Protocol.cyclic ~key_bits:req.Protocol.key_bits c
     with Invalid_argument msg -> reject "lock failed: %s" msg
   in
   if not (Locked.verify bundle) then
@@ -385,7 +362,7 @@ let run_analyze t (req : Protocol.request) conn =
         let rng = Random.State.make [| req.Protocol.seed; 0xc0de |] in
         [
           ( "output_corruption",
-            Json.Jfloat (Locked.output_corruption_fast bundle rng) );
+            Json.Jfloat (Locked.output_corruption bundle rng) );
         ]
       end
       else reject "oracle interface does not match the circuit"

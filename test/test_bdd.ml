@@ -3,6 +3,7 @@
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 module Sim = Fl_netlist.Sim
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
@@ -76,7 +77,7 @@ let test_of_circuit_matches_sim () =
   let outs = Bdd.of_circuit m c ~keys:[||] in
   for v = 0 to 31 do
     let inputs = Sim.vector_of_int ~width:5 v in
-    let expected = Sim.eval c ~inputs ~keys:[||] in
+    let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
     Array.iteri
       (fun i out ->
         check bool_t (Printf.sprintf "v=%d out=%d" v i) expected.(i)
@@ -189,7 +190,7 @@ let prop_bdd_matches_sim =
       let m = Bdd.create ~num_vars:7 () in
       let outs = Bdd.of_circuit m c ~keys:[||] in
       let inputs = Array.init 7 (fun i -> stim land (1 lsl i) <> 0) in
-      let expected = Sim.eval c ~inputs ~keys:[||] in
+      let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
       Array.for_all2 (fun e out -> e = Bdd.eval m out inputs) expected outs)
 
 let prop_sat_count_matches_enumeration =
@@ -206,7 +207,7 @@ let prop_sat_count_matches_enumeration =
       let enumerated = ref 0 in
       for v = 0 to 63 do
         let inputs = Sim.vector_of_int ~width:6 v in
-        if (Sim.eval c ~inputs ~keys:[||]).(0) then incr enumerated
+        if (View.eval (View.of_circuit c) ~inputs ~keys:[||]).(0) then incr enumerated
       done;
       counted = float_of_int !enumerated)
 

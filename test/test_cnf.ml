@@ -2,6 +2,7 @@
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 module Sim = Fl_netlist.Sim
 module Generator = Fl_netlist.Generator
 module Formula = Fl_cnf.Formula
@@ -195,7 +196,7 @@ let check_circuit_encoding c vectors =
       let f = Formula.create () in
       let enc = Tseytin.encode f c in
       Tseytin.assert_vector f enc.Tseytin.input_vars inputs;
-      let expected = Sim.eval c ~inputs ~keys:[||] in
+      let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
       (* Assert the expected outputs: satisfiable. *)
       let f_good = Formula.copy f in
       Tseytin.assert_vector f_good enc.Tseytin.output_vars expected;
@@ -306,7 +307,7 @@ let prop_encoding_matches_sim =
       Tseytin.assert_vector f enc.Tseytin.input_vars inputs;
       match Fl_sat.Cdcl.solve_formula f with
       | Fl_sat.Cdcl.Sat, Some model, _ ->
-        let expected = Sim.eval c ~inputs ~keys:[||] in
+        let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
         Array.for_all2
           (fun v e -> model.(v) = e)
           enc.Tseytin.output_vars expected

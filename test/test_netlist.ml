@@ -2,6 +2,7 @@
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 module Sim = Fl_netlist.Sim
 module Bench_io = Fl_netlist.Bench_io
 module Generator = Fl_netlist.Generator
@@ -10,6 +11,11 @@ module Bench_suite = Fl_netlist.Bench_suite
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
+
+(* Output equality of two key-free circuits on every input vector. *)
+let equivalent a b =
+  View.agree_on_probes ~exhaustive_limit:20 (View.of_circuit a) ~keys_a:[||]
+    (View.of_circuit b) ~keys_b:[||]
 
 (* ------------------------------------------------------------------ *)
 (* Gate semantics                                                      *)
@@ -108,8 +114,8 @@ let test_builder_basic () =
   check int_t "gates" 2 (Circuit.num_gates c);
   check int_t "inputs" 3 (Circuit.num_inputs c);
   check int_t "keys" 0 (Circuit.num_keys c);
-  check bool_t "acyclic" true (Circuit.is_acyclic c);
-  check (Alcotest.option int_t) "depth" (Some 2) (Circuit.depth c)
+  check bool_t "acyclic" true (View.is_acyclic (View.of_circuit c));
+  check (Alcotest.option int_t) "depth" (Some 2) (View.depth (View.of_circuit c))
 
 let test_builder_rejects_bad_fanins () =
   let b = Circuit.Builder.create () in
@@ -141,7 +147,7 @@ let test_declare_enables_cycles () =
   Circuit.Builder.set_fanins b m1 [| s; x; m2 |];
   Circuit.Builder.output b "y" m2;
   let c = Circuit.of_builder b in
-  check bool_t "cyclic" false (Circuit.is_acyclic c);
+  check bool_t "cyclic" false (View.is_acyclic (View.of_circuit c));
   let cycles = Circuit.find_cycles c ~limit:10 in
   check bool_t "found a cycle" true (List.length cycles >= 1)
 
@@ -180,7 +186,7 @@ let test_copy_into () =
   check int_t "same node count" (Circuit.num_nodes c) (Circuit.num_nodes c2);
   check int_t "map length" (Circuit.num_nodes c) (Array.length map);
   check bool_t "equivalent" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (equivalent c c2)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation                                                          *)
@@ -189,7 +195,7 @@ let test_copy_into () =
 let test_sim_simple () =
   let c = simple_circuit () in
   let expect a b cin =
-    let lhs = Sim.eval c ~inputs:[| a; b; cin |] ~keys:[||] in
+    let lhs = View.eval (View.of_circuit c) ~inputs:[| a; b; cin |] ~keys:[||] in
     check (Alcotest.array bool_t)
       (Printf.sprintf "%b%b%b" a b cin)
       [| (a && b) <> cin |]
@@ -217,7 +223,7 @@ let test_sim_cyclic_opened_by_mux () =
   let c = Circuit.of_builder b in
   List.iter
     (fun (kv, xv) ->
-      let out = Sim.eval c ~inputs:[| xv |] ~keys:[| kv |] in
+      let out = View.eval (View.of_circuit c) ~inputs:[| xv |] ~keys:[| kv |] in
       check bool_t (Printf.sprintf "k=%b x=%b" kv xv) xv out.(0))
     [ false, false; false, true; true, false; true, true ]
 
@@ -229,16 +235,12 @@ let test_sim_cyclic_unresolved () =
   Circuit.Builder.set_fanins b inv [| inv |];
   Circuit.Builder.output b "y" inv;
   let c = Circuit.of_builder b in
-  let tri = Sim.eval_tristate c ~inputs:[| false |] ~keys:[||] in
-  check bool_t "X output" true (tri.(0) = Sim.VX);
+  let tri = View.eval_tristate (View.of_circuit c) ~inputs:[| false |] ~keys:[||] in
+  check bool_t "X output" true (tri.(0) = View.VX);
   (try
-     ignore (Sim.eval c ~inputs:[| false |] ~keys:[||]);
+     ignore (View.eval (View.of_circuit c) ~inputs:[| false |] ~keys:[||]);
      Alcotest.fail "expected Unresolved"
-   with Sim.Unresolved _ -> ())
-
-let test_sim_settles () =
-  let c = simple_circuit () in
-  check bool_t "acyclic settles" true (Sim.settles c ~keys:[||])
+   with View.Unresolved _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Bench I/O                                                           *)
@@ -267,7 +269,7 @@ let test_c17_functional () =
   let c = Bench_suite.c17 () in
   for v = 0 to 31 do
     let inputs = Sim.vector_of_int ~width:5 v in
-    let got = Sim.eval c ~inputs ~keys:[||] in
+    let got = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
     check (Alcotest.array bool_t) (Printf.sprintf "v=%d" v) (c17_reference inputs) got
   done
 
@@ -276,7 +278,7 @@ let test_bench_roundtrip () =
   let text = Bench_io.to_string c in
   let c2 = Bench_io.parse_string text in
   check bool_t "roundtrip equivalent" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (equivalent c c2)
 
 let test_bench_keyinput_convention () =
   let text =
@@ -285,19 +287,19 @@ let test_bench_keyinput_convention () =
   let c = Bench_io.parse_string text in
   check int_t "one PI" 1 (Circuit.num_inputs c);
   check int_t "one key" 1 (Circuit.num_keys c);
-  let out = Sim.eval c ~inputs:[| true |] ~keys:[| true |] in
+  let out = View.eval (View.of_circuit c) ~inputs:[| true |] ~keys:[| true |] in
   check bool_t "xor" false out.(0)
 
 let test_bench_lut_roundtrip () =
   let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = LUT 0x8 (a, b)\n" in
   let c = Bench_io.parse_string text in
-  let out = Sim.eval c ~inputs:[| true; true |] ~keys:[||] in
+  let out = View.eval (View.of_circuit c) ~inputs:[| true; true |] ~keys:[||] in
   check bool_t "lut 0x8 = and" true out.(0);
-  let out0 = Sim.eval c ~inputs:[| true; false |] ~keys:[||] in
+  let out0 = View.eval (View.of_circuit c) ~inputs:[| true; false |] ~keys:[||] in
   check bool_t "lut 0x8 = and (10)" false out0.(0);
   let c2 = Bench_io.parse_string (Bench_io.to_string c) in
   check bool_t "lut roundtrip" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (equivalent c c2)
 
 let test_bench_parse_errors () =
   List.iter
@@ -336,6 +338,35 @@ let test_gate_arity_errors () =
       | _ -> Alcotest.failf "accepted %s" gate)
     [ "not g1(y, a, a);"; "buf g1(y, a, a);"; "and g1(y, a);" ]
 
+(* Errors found after the line pass — an undefined or undriven wire, a
+   duplicate definition — carry the line of the offending use or
+   definition. *)
+let test_wiring_error_lines () =
+  let bench_line text =
+    match Bench_io.parse_string text with
+    | exception Bench_io.Parse_error (line, _) -> line
+    | _ -> Alcotest.failf "accepted %S" text
+  in
+  check int_t "undefined fanin" 4
+    (bench_line "INPUT(a)\nOUTPUT(y)\n\ny = AND(a, zz)\n");
+  check int_t "undefined output" 2 (bench_line "INPUT(a)\nOUTPUT(zz)\ny = BUF(a)\n");
+  check int_t "duplicate definition" 4
+    (bench_line "INPUT(a)\nOUTPUT(y)\ny = BUF(a)\ny = NOT(a)\n");
+  check int_t "duplicate input" 2 (bench_line "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n");
+  let verilog_line text =
+    match Fl_netlist.Verilog.parse_string text with
+    | exception Fl_netlist.Verilog.Parse_error (line, _) -> line
+    | _ -> Alcotest.failf "accepted %S" text
+  in
+  check int_t "undriven gate input" 5
+    (verilog_line
+       "module m (a, y);\n  input a;\n  output y;\n  and g1(y, a,\n    zz);\nendmodule\n");
+  check int_t "undriven assign operand" 4
+    (verilog_line
+       "module m (a, y);\n  input a;\n  output y;\n  assign y = a & zz;\nendmodule\n");
+  check int_t "undriven output" 3
+    (verilog_line "module m (a, y);\n  input a;\n  output zz;\n  assign y = a;\nendmodule\n")
+
 (* ------------------------------------------------------------------ *)
 (* Generator and bench suite                                           *)
 (* ------------------------------------------------------------------ *)
@@ -348,7 +379,7 @@ let test_generator_respects_profile () =
   Circuit.validate c;
   check int_t "inputs" 12 (Circuit.num_inputs c);
   check int_t "outputs" 5 (Circuit.num_outputs c);
-  check bool_t "acyclic" true (Circuit.is_acyclic c);
+  check bool_t "acyclic" true (View.is_acyclic (View.of_circuit c));
   (* gate count: exactly num_gates plus possibly fold gates (<= num_outputs) *)
   check bool_t "gate count near profile" true
     (Circuit.num_gates c >= 80 && Circuit.num_gates c <= 80 + 5)
@@ -413,7 +444,7 @@ let test_const_bench_roundtrip () =
   let c = Circuit.of_builder b in
   let c2 = Bench_io.parse_string (Bench_io.to_string c) in
   check bool_t "const roundtrip" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (equivalent c c2)
 
 let test_pp_stats_smoke () =
   let c = Bench_suite.c17 () in
@@ -433,7 +464,7 @@ let test_kind_histogram () =
     (Circuit.kind_histogram c)
 
 let test_depth_c17 () =
-  check (Alcotest.option int_t) "depth 3" (Some 3) (Circuit.depth (Bench_suite.c17 ()))
+  check (Alcotest.option int_t) "depth 3" (Some 3) (View.depth (View.of_circuit (Bench_suite.c17 ())))
 
 let test_sccs () =
   (* Acyclic: every node its own SCC; with one cycle, the two nodes share. *)
@@ -487,7 +518,7 @@ let prop_generator_valid =
       in
       let c = Generator.random ~seed ~name:"prop" profile in
       Circuit.validate c;
-      Circuit.is_acyclic c)
+      View.is_acyclic (View.of_circuit c))
 
 let prop_sim_tristate_agrees =
   (* On acyclic circuits, tristate eval must agree with boolean eval. *)
@@ -496,10 +527,10 @@ let prop_sim_tristate_agrees =
       let c = Generator.random ~seed ~name:"p" Generator.default_profile in
       let n = Circuit.num_inputs c in
       let inputs = Array.init n (fun i -> stim land (1 lsl (i mod 24)) <> 0) in
-      let bools = Sim.eval c ~inputs ~keys:[||] in
-      let tris = Sim.eval_tristate c ~inputs ~keys:[||] in
+      let bools = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
+      let tris = View.eval_tristate (View.of_circuit c) ~inputs ~keys:[||] in
       Array.for_all2
-        (fun b t -> match t with Sim.V0 -> not b | Sim.V1 -> b | Sim.VX -> false)
+        (fun b t -> match t with View.V0 -> not b | View.V1 -> b | View.VX -> false)
         bools tris)
 
 let prop_parser_total =
@@ -520,7 +551,7 @@ let prop_bench_roundtrip =
       let c2 = Bench_io.parse_string (Bench_io.to_string c) in
       let n = Circuit.num_inputs c in
       let inputs = Array.init n (fun i -> stim land (1 lsl (i mod 24)) <> 0) in
-      Sim.eval c ~inputs ~keys:[||] = Sim.eval c2 ~inputs ~keys:[||])
+      View.eval (View.of_circuit c) ~inputs ~keys:[||] = View.eval (View.of_circuit c2) ~inputs ~keys:[||])
 
 let () =
   Alcotest.run "netlist"
@@ -552,7 +583,6 @@ let () =
           Alcotest.test_case "vector helpers" `Quick test_sim_vector_helpers;
           Alcotest.test_case "cycle opened by mux" `Quick test_sim_cyclic_opened_by_mux;
           Alcotest.test_case "cycle unresolved" `Quick test_sim_cyclic_unresolved;
-          Alcotest.test_case "settles" `Quick test_sim_settles;
         ] );
       ( "bench_io",
         [
@@ -563,6 +593,7 @@ let () =
           Alcotest.test_case "lut roundtrip" `Quick test_bench_lut_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_bench_parse_errors;
           Alcotest.test_case "gate arity errors" `Quick test_gate_arity_errors;
+          Alcotest.test_case "wiring error lines" `Quick test_wiring_error_lines;
         ] );
       ( "generator",
         [

@@ -251,6 +251,28 @@ let test_bad_requests_get_error_frames () =
       check bool_t "error counted" true (jint "errors" s >= 1);
       Client.close c)
 
+let test_unknown_scheme_is_rejected () =
+  with_server (fun socket ->
+      let c = Client.connect socket in
+      let circuit, _ = texts 5 in
+      (match
+         Client.request c
+           {
+             Protocol.default_request with
+             Protocol.id = "s1";
+             op = "lock";
+             circuit = Some circuit;
+             scheme = "frob";
+           }
+       with
+       | Result.Ok _ -> Alcotest.fail "lock with an unknown scheme must fail"
+       | Result.Error msg ->
+         check Alcotest.string "error text"
+           "lock failed: unknown scheme \"frob\" (full-lock, rll, mux, sarlock, \
+            antisat, sfll, lutlock, crosslock, cyclic)"
+           msg);
+      Client.close c)
+
 let test_shutdown_is_clean () =
   let socket = Filename.temp_file "flserve" ".sock" in
   Sys.remove socket;
@@ -290,6 +312,7 @@ let () =
         [
           Alcotest.test_case "error frames" `Quick
             test_bad_requests_get_error_frames;
+          Alcotest.test_case "unknown scheme" `Quick test_unknown_scheme_is_rejected;
           Alcotest.test_case "clean shutdown" `Quick test_shutdown_is_clean;
         ] );
     ]

@@ -1,10 +1,10 @@
 (* Tests for the tooling layer: Opt (netlist clean-up + key hardwiring),
-   Equiv (SAT equivalence), Sim_word (bit-parallel simulation), Verilog I/O. *)
+   Equiv (SAT equivalence), View's packed word evaluation, Verilog I/O. *)
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
+module View = Fl_netlist.View
 module Sim = Fl_netlist.Sim
-module Sim_word = Fl_netlist.Sim_word
 module Opt = Fl_netlist.Opt
 module Verilog = Fl_netlist.Verilog
 module Generator = Fl_netlist.Generator
@@ -24,6 +24,14 @@ let host ?(seed = 31) ?(gates = 90) () =
     { Generator.num_inputs = 9; num_outputs = 4; num_gates = gates;
       max_fanin = 3; and_bias = 0.75 }
 
+(* Output equality of two key-free circuits on every input vector. *)
+let equivalent a b =
+  View.agree_on_probes ~exhaustive_limit:20 (View.of_circuit a) ~keys_a:[||]
+    (View.of_circuit b) ~keys_b:[||]
+
+(* The scalar vector carried by [lane] of packed words. *)
+let lane_of words lane = Array.map (fun w -> w land (1 lsl lane) <> 0) words
+
 (* ------------------------------------------------------------------ *)
 (* Opt                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -33,7 +41,7 @@ let test_opt_preserves_function () =
   let optimized, _ = Opt.run c in
   Circuit.validate optimized;
   check bool_t "equivalent" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (equivalent c optimized)
 
 let test_opt_folds_constants () =
   (* y = (a AND 0) OR (b AND 1) must fold to y = b. *)
@@ -51,7 +59,7 @@ let test_opt_folds_constants () =
   check int_t "no gates left" 0 (Circuit.num_gates optimized);
   check bool_t "constants folded" true (stats.Opt.constants_folded >= 1);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (equivalent c optimized)
 
 let test_opt_collapses_buffers () =
   let b = Circuit.Builder.create ~name:"bufs" () in
@@ -76,7 +84,7 @@ let test_opt_simplifies_xor_pairs () =
   let optimized, _ = Opt.run c in
   check int_t "gone" 0 (Circuit.num_gates optimized);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (equivalent c optimized)
 
 let test_opt_mux_rules () =
   (* Mux(s, x, x) = x and Mux(s, 0, 1) = s. *)
@@ -93,7 +101,7 @@ let test_opt_mux_rules () =
   let optimized, _ = Opt.run c in
   check int_t "all muxes gone" 0 (Circuit.num_gates optimized);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (equivalent c optimized)
 
 let test_opt_structural_hashing () =
   (* Two identical AND gates collapse into one. *)
@@ -110,7 +118,7 @@ let test_opt_structural_hashing () =
   (* XOR(g, g) = 0 -> whole circuit folds to a constant. *)
   check int_t "all gates folded" 0 (Circuit.num_gates optimized);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (equivalent c optimized)
 
 let test_hardwire_recovers_oracle () =
   (* Activating a Full-Lock'd netlist with the correct key and sweeping must
@@ -122,7 +130,7 @@ let test_hardwire_recovers_oracle () =
   check int_t "no keys left" 0 (Circuit.num_keys activated);
   let swept, stats = Opt.run activated in
   check bool_t "equivalent to oracle" true
-    (Sim.equivalent_exhaustive swept c ~keys_a:[||] ~keys_b:[||]);
+    (equivalent swept c);
   check bool_t "lock mostly folded away" true
     (Circuit.num_gates swept < Circuit.num_gates locked.Locked.locked);
   check bool_t "did real work" true
@@ -137,7 +145,7 @@ let test_hardwire_wrong_key_differs () =
   let wrong = Array.map not locked.Locked.correct_key in
   let activated, _ = Opt.run (Opt.hardwire_keys locked.Locked.locked wrong) in
   check bool_t "differs from oracle" false
-    (Sim.equivalent_exhaustive activated c ~keys_a:[||] ~keys_b:[||])
+    (equivalent activated c)
 
 (* ------------------------------------------------------------------ *)
 (* Equiv                                                               *)
@@ -162,8 +170,8 @@ let test_equiv_finds_difference () =
   match Equiv.check c mutated with
   | Equiv.Different { inputs; outputs_a; outputs_b } ->
     check bool_t "counterexample is real" true
-      (Sim.eval c ~inputs ~keys:[||] = outputs_a
-       && Sim.eval mutated ~inputs ~keys:[||] = outputs_b
+      (View.eval (View.of_circuit c) ~inputs ~keys:[||] = outputs_a
+       && View.eval (View.of_circuit mutated) ~inputs ~keys:[||] = outputs_b
        && outputs_a <> outputs_b)
   | Equiv.Equivalent | Equiv.Unknown -> Alcotest.fail "expected Different"
 
@@ -198,7 +206,7 @@ let test_equiv_rejects_cyclic () =
     else begin
       let rng2 = Random.State.make [| s |] in
       let l = Fulllock.lock_one rng2 ~policy:`Cyclic ~n:4 c in
-      if Circuit.is_acyclic l.Locked.locked then find_cyclic (s + 1) else Some l
+      if View.is_acyclic (View.of_circuit l.Locked.locked) then find_cyclic (s + 1) else Some l
     end
   in
   ignore rng;
@@ -211,24 +219,23 @@ let test_equiv_rejects_cyclic () =
      with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Sim_word                                                            *)
+(* Packed word evaluation                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_word_matches_scalar () =
   let c = host () in
+  let v = View.of_circuit c in
   let rng = Random.State.make [| 6 |] in
   let vectors =
-    List.init Sim_word.lanes (fun _ -> Sim.random_vector rng (Circuit.num_inputs c))
+    List.init View.lanes (fun _ -> Sim.random_vector rng (Circuit.num_inputs c))
   in
-  let packed = Sim_word.pack vectors in
-  let word_out = Sim_word.eval c ~inputs:packed ~keys:[||] in
-  let unpacked = Sim_word.unpack ~lanes_used:(List.length vectors) word_out in
+  let word_out = View.eval_packed v ~inputs:(List.hd (View.pack vectors)) ~keys:[||] in
   List.iteri
-    (fun lane v ->
-      let expected = Sim.eval c ~inputs:v ~keys:[||] in
+    (fun lane inputs ->
       check (Alcotest.array bool_t)
         (Printf.sprintf "lane %d" lane)
-        expected (List.nth unpacked lane))
+        (View.eval v ~inputs ~keys:[||])
+        (lane_of word_out lane))
     vectors
 
 let test_word_cyclic_matches_scalar () =
@@ -237,24 +244,40 @@ let test_word_cyclic_matches_scalar () =
   let locked =
     let rec go s =
       let l = Fulllock.lock_one (Random.State.make [| s |]) ~policy:`Cyclic ~n:4 c in
-      if Circuit.is_acyclic l.Locked.locked then go (s + 1) else l
+      if View.is_acyclic (View.of_circuit l.Locked.locked) then go (s + 1) else l
     in
     go 0
   in
-  let lc = locked.Locked.locked in
+  let v = View.of_circuit locked.Locked.locked in
   let key = locked.Locked.correct_key in
-  let vectors = List.init 16 (fun _ -> Sim.random_vector rng (Circuit.num_inputs lc)) in
-  let packed = Sim_word.pack vectors in
-  let packed_keys = Array.map (fun b -> if b then -1 else 0) key in
-  let word_out = Sim_word.eval lc ~inputs:packed ~keys:packed_keys in
-  let unpacked = Sim_word.unpack ~lanes_used:16 word_out in
+  let vectors =
+    List.init 16 (fun _ -> Sim.random_vector rng (Circuit.num_inputs locked.Locked.locked))
+  in
+  let word_out =
+    View.eval_packed v ~inputs:(List.hd (View.pack vectors)) ~keys:(View.broadcast key)
+  in
   List.iteri
-    (fun lane v ->
-      let expected = Sim.eval lc ~inputs:v ~keys:key in
+    (fun lane inputs ->
       check (Alcotest.array bool_t)
         (Printf.sprintf "cyclic lane %d" lane)
-        expected (List.nth unpacked lane))
+        (View.eval v ~inputs ~keys:key)
+        (lane_of word_out lane))
     vectors
+
+let test_pack_fills_short_batch () =
+  (* 70 vectors: one full batch, then 7 vectors repeated across all lanes
+     of the second. *)
+  let rng = Random.State.make [| 8 |] in
+  let vectors = Array.init 70 (fun _ -> Sim.random_vector rng 5) in
+  match View.pack (Array.to_list vectors) with
+  | [ first; second ] ->
+    for lane = 0 to View.lanes - 1 do
+      check (Alcotest.array bool_t) "full batch" vectors.(lane) (lane_of first lane);
+      check (Alcotest.array bool_t) "short batch"
+        vectors.(View.lanes + (lane mod 7))
+        (lane_of second lane)
+    done
+  | batches -> Alcotest.failf "expected 2 batches, got %d" (List.length batches)
 
 let test_word_unresolved () =
   (* y = NOT y: every lane undefined. *)
@@ -263,18 +286,13 @@ let test_word_unresolved () =
   let inv = Circuit.Builder.declare ~name:"inv" b Gate.Not in
   Circuit.Builder.set_fanins b inv [| inv |];
   Circuit.Builder.output b "y" inv;
-  let c = Circuit.of_builder b in
+  let v = View.of_circuit (Circuit.of_builder b) in
   (try
-     ignore (Sim_word.eval c ~inputs:[| 0 |] ~keys:[||]);
+     ignore (View.eval_packed v ~inputs:[| 0 |] ~keys:[||]);
      Alcotest.fail "expected Unresolved"
-   with Sim.Unresolved _ -> ());
-  let tri = Sim_word.eval_tristate c ~inputs:[| 0 |] ~keys:[||] in
-  check int_t "all lanes undefined" 0 tri.(0).Sim_word.defined
-
-let test_word_count_diff () =
-  check int_t "no diff" 0 (Sim_word.count_diff_lanes [| 5; 3 |] [| 5; 3 |]);
-  check int_t "two lanes" 2 (Sim_word.count_diff_lanes [| 0b101 |] [| 0b000 |]);
-  check int_t "across words" 2 (Sim_word.count_diff_lanes [| 1; 2 |] [| 0; 0 |])
+   with View.Unresolved _ -> ());
+  let tri = View.eval_words v ~inputs:[| 0 |] ~keys:[||] in
+  check int_t "all lanes undefined" 0 tri.(0).View.defined
 
 (* ------------------------------------------------------------------ *)
 (* Faults                                                              *)
@@ -359,9 +377,8 @@ let test_atpg_generates_tests () =
       match Atpg.generate c ~keys:[||] ~node:fault.Faults.node
               ~stuck_at:fault.Faults.stuck_at with
       | Atpg.Test v ->
-        let packed = Sim_word.pack [ v ] in
         check bool_t "vector detects its fault" true
-          (Faults.detects c ~keys:[||] ~inputs:packed fault)
+          (Faults.detects (Faults.test_set c ~keys:[||] [ v ]) fault)
       | Atpg.Untestable -> Alcotest.fail "c17 fault reported untestable"
       | Atpg.Unknown -> Alcotest.fail "budget too small")
     (Faults.enumerate c)
@@ -422,7 +439,7 @@ let test_verilog_roundtrip_simple () =
   let text = Verilog.to_string c in
   let c2 = Verilog.parse_string text in
   check bool_t "roundtrip equivalent" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (equivalent c c2)
 
 let test_verilog_roundtrip_locked () =
   (* Locked netlists have MUXes, XOR inverters, constants and key inputs —
@@ -434,10 +451,9 @@ let test_verilog_roundtrip_locked () =
   let c2 = Verilog.parse_string (Verilog.to_string lc) in
   check int_t "keys preserved" (Circuit.num_keys lc) (Circuit.num_keys c2);
   let key = locked.Locked.correct_key in
-  let rng2 = Random.State.make [| 9 |] in
-  let vectors = List.init 64 (fun _ -> Sim.random_vector rng2 (Circuit.num_inputs lc)) in
   check bool_t "roundtrip equivalent" true
-    (Sim.equal_on_vectors lc c2 ~keys_a:key ~keys_b:key ~vectors)
+    (View.agree_on_probes ~vectors:64 ~seed:9 (View.of_circuit lc) ~keys_a:key
+       (View.of_circuit c2) ~keys_b:key)
 
 let test_verilog_parses_handwritten () =
   let text =
@@ -457,7 +473,7 @@ let test_verilog_parses_handwritten () =
   (* Full adder truth check. *)
   for v = 0 to 7 do
     let inputs = Sim.vector_of_int ~width:3 v in
-    let out = Sim.eval c ~inputs ~keys:[||] in
+    let out = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
     let a = inputs.(0) and b = inputs.(1) and cin = inputs.(2) in
     let sum = a <> b <> cin in
     let cout = (a && b) || ((a <> b) && cin) in
@@ -472,9 +488,9 @@ let test_verilog_mux_ternary () =
   let c = Verilog.parse_string text in
   (* s=1 -> a *)
   check (Alcotest.array bool_t) "s=1" [| true |]
-    (Sim.eval c ~inputs:[| true; true; false |] ~keys:[||]);
+    (View.eval (View.of_circuit c) ~inputs:[| true; true; false |] ~keys:[||]);
   check (Alcotest.array bool_t) "s=0" [| false |]
-    (Sim.eval c ~inputs:[| false; true; false |] ~keys:[||])
+    (View.eval (View.of_circuit c) ~inputs:[| false; true; false |] ~keys:[||])
 
 let test_verilog_keyinput_convention () =
   let text =
@@ -520,11 +536,12 @@ let prop_word_sim_matches =
       let c = host ~seed () in
       let rng = Random.State.make [| vseed |] in
       let vectors = List.init 8 (fun _ -> Sim.random_vector rng (Circuit.num_inputs c)) in
-      let out = Sim_word.eval c ~inputs:(Sim_word.pack vectors) ~keys:[||] in
-      let unpacked = Sim_word.unpack ~lanes_used:8 out in
-      List.for_all2
-        (fun v got -> Sim.eval c ~inputs:v ~keys:[||] = got)
-        vectors unpacked)
+      let v = View.of_circuit c in
+      let out = View.eval_packed v ~inputs:(List.hd (View.pack vectors)) ~keys:[||] in
+      List.for_all Fun.id
+        (List.mapi
+           (fun lane inputs -> View.eval v ~inputs ~keys:[||] = lane_of out lane)
+           vectors))
 
 let prop_verilog_roundtrip =
   let gen = QCheck2.Gen.int_bound 5000 in
@@ -581,7 +598,7 @@ let () =
           Alcotest.test_case "matches scalar" `Quick test_word_matches_scalar;
           Alcotest.test_case "cyclic matches scalar" `Quick test_word_cyclic_matches_scalar;
           Alcotest.test_case "unresolved" `Quick test_word_unresolved;
-          Alcotest.test_case "count diff" `Quick test_word_count_diff;
+          Alcotest.test_case "pack fills short batch" `Quick test_pack_fills_short_batch;
         ] );
       ( "faults",
         [

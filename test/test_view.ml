@@ -5,7 +5,6 @@
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
 module Sim = Fl_netlist.Sim
-module Sim_word = Fl_netlist.Sim_word
 module View = Fl_netlist.View
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
@@ -110,8 +109,8 @@ let prop_acyclic_matches_reference =
       let c = acyclic_of ~seed in
       let rng = Random.State.make [| stim_seed |] in
       let inputs, keys = random_stim rng c in
-      Sim.eval c ~inputs ~keys = Sim.eval_reference c ~inputs ~keys
-      && Sim.eval_tristate c ~inputs ~keys
+      View.eval (View.of_circuit c) ~inputs ~keys = Sim.eval_reference c ~inputs ~keys
+      && View.eval_tristate (View.of_circuit c) ~inputs ~keys
          = Sim.eval_tristate_reference c ~inputs ~keys)
 
 let prop_cyclic_matches_reference =
@@ -121,18 +120,18 @@ let prop_cyclic_matches_reference =
       let c = random_cyclic ~seed in
       let rng = Random.State.make [| stim_seed |] in
       let inputs, keys = random_stim rng c in
-      let via_view = Sim.eval_tristate c ~inputs ~keys in
+      let via_view = View.eval_tristate (View.of_circuit c) ~inputs ~keys in
       let reference = Sim.eval_tristate_reference c ~inputs ~keys in
       let strict_agree =
-        match Sim.eval c ~inputs ~keys with
+        match View.eval (View.of_circuit c) ~inputs ~keys with
         | outputs -> (
           match Sim.eval_reference c ~inputs ~keys with
           | ref_outputs -> outputs = ref_outputs
-          | exception Sim.Unresolved _ -> false)
-        | exception Sim.Unresolved _ -> (
+          | exception View.Unresolved _ -> false)
+        | exception View.Unresolved _ -> (
           match Sim.eval_reference c ~inputs ~keys with
           | _ -> false
-          | exception Sim.Unresolved _ -> true)
+          | exception View.Unresolved _ -> true)
       in
       via_view = reference && strict_agree)
 
@@ -147,16 +146,16 @@ let prop_word_lane_zero_matches_scalar =
       let rng = Random.State.make [| stim_seed; 1 |] in
       let inputs, keys = random_stim rng c in
       let words =
-        Sim_word.eval_tristate c ~inputs:(View.broadcast inputs)
+        View.eval_words (View.of_circuit c) ~inputs:(View.broadcast inputs)
           ~keys:(View.broadcast keys)
       in
       let scalar = Sim.eval_tristate_reference c ~inputs ~keys in
       Array.for_all2
-        (fun w tri ->
+        (fun (w : View.word) tri ->
           match tri with
-          | Sim.VX -> w.Sim_word.defined land 1 = 0
-          | Sim.V1 -> w.Sim_word.defined land 1 = 1 && w.Sim_word.value land 1 = 1
-          | Sim.V0 -> w.Sim_word.defined land 1 = 1 && w.Sim_word.value land 1 = 0)
+          | View.VX -> w.defined land 1 = 0
+          | View.V1 -> w.defined land 1 = 1 && w.value land 1 = 1
+          | View.V0 -> w.defined land 1 = 1 && w.value land 1 = 0)
         words scalar)
 
 let prop_word_lanes_match_scalar_sweep =
@@ -167,9 +166,11 @@ let prop_word_lanes_match_scalar_sweep =
     (fun (seed, stim_seed) ->
       let c = acyclic_of ~seed in
       let rng = Random.State.make [| stim_seed; 2 |] in
-      let inputs = Sim_word.random_words rng ~width:(Circuit.num_inputs c) in
+      let inputs = View.random_words rng ~width:(Circuit.num_inputs c) in
       let keys = Sim.random_vector rng (Circuit.num_keys c) in
-      let packed = Sim_word.eval c ~inputs ~keys:(View.broadcast keys) in
+      let packed =
+        View.eval_packed (View.of_circuit c) ~inputs ~keys:(View.broadcast keys)
+      in
       let ok = ref true in
       for lane = 0 to 7 do
         let lane_inputs =
@@ -213,7 +214,7 @@ let stuck_copy c (fault : Faults.fault) =
 let reference_detects c faulty ~inputs ~keys =
   let good = Sim.eval_tristate_reference c ~inputs ~keys in
   let bad = Sim.eval_tristate_reference faulty ~inputs ~keys in
-  Array.exists2 (fun g f -> g <> Sim.VX && f <> g) good bad
+  Array.exists2 (fun g f -> g <> View.VX && f <> g) good bad
 
 let prop_faults_match_reference =
   let gen =
@@ -229,28 +230,15 @@ let prop_faults_match_reference =
         Array.init count (fun _ -> Sim.random_vector rng (Circuit.num_inputs c))
       in
       let keys = Sim.random_vector rng (Circuit.num_keys c) in
-      let packed_keys = View.broadcast keys in
-      (* Lane j carries vector (j mod count), so every lane is one of the
-         [count] vectors. *)
-      let packed =
-        Array.init (Circuit.num_inputs c) (fun i ->
-            let w = ref 0 in
-            for lane = 0 to View.lanes - 1 do
-              if vectors.(lane mod count).(i) then w := !w lor (1 lsl lane)
-            done;
-            !w)
-      in
+      let all = Faults.test_set c ~keys (Array.to_list vectors) in
       List.for_all
         (fun fault ->
           let faulty = stuck_copy c fault in
-          let per_lane =
+          let per_vector =
             Array.map
               (fun inputs ->
                 let expected = reference_detects c faulty ~inputs ~keys in
-                let got =
-                  Faults.detects c ~keys:packed_keys
-                    ~inputs:(View.broadcast inputs) fault
-                in
+                let got = Faults.detects (Faults.test_set c ~keys [ inputs ]) fault in
                 if got <> expected then
                   QCheck2.Test.fail_reportf
                     "fault node %d stuck-at %b: detects %b, reference %b"
@@ -258,8 +246,7 @@ let prop_faults_match_reference =
                 expected)
               vectors
           in
-          Faults.detects c ~keys:packed_keys ~inputs:packed fault
-          = Array.exists Fun.id per_lane)
+          Faults.detects all fault = Array.exists Fun.id per_vector)
         (Faults.enumerate c))
 
 (* ------------------------------------------------------------------ *)
@@ -319,16 +306,15 @@ let test_view_is_memoized () =
 
 let test_topological_order_is_memoized () =
   let c = Bench_suite.c17 () in
-  (match Circuit.topological_order c, Circuit.topological_order c with
+  let v = View.of_circuit c in
+  (match View.topo_order v, View.topo_order v with
    | Some a, Some b -> check bool_t "same array" true (a == b)
    | _ -> Alcotest.fail "c17 must be acyclic");
-  (* The uncached path allocates fresh results. *)
-  match
-    Circuit.compute_topological_order c, Circuit.compute_topological_order c
-  with
+  (* The circuit-level sort is the uncached one: fresh, equal results. *)
+  match Circuit.topological_order c, Circuit.topological_order c with
   | Some a, Some b ->
     check bool_t "fresh arrays" true (a != b);
-    check bool_t "same order" true (a = b)
+    check bool_t "same order" true (a = b && Some a = View.topo_order v)
   | _ -> Alcotest.fail "c17 must be acyclic"
 
 (* The memo hit counters were dead until the attack layers were routed
@@ -355,8 +341,23 @@ let test_memo_counters_count () =
 let test_cached_analyses_agree () =
   let c = Bench_suite.load_scaled "c432" ~scale:4 in
   let v = View.of_circuit c in
-  check bool_t "acyclic agrees" true (View.is_acyclic v = Circuit.is_acyclic c);
-  check bool_t "depth agrees" true (View.depth v = Circuit.depth c);
+  check bool_t "acyclic agrees" true
+    (View.is_acyclic v = (Circuit.topological_order c <> None));
+  (* Depth as the longest fanin chain, memoized per node. *)
+  let memo = Array.make (Circuit.num_nodes c) (-1) in
+  let rec level id =
+    if memo.(id) < 0 then
+      memo.(id) <-
+        Array.fold_left
+          (fun acc f -> max acc (level f + 1))
+          0 (Circuit.node c id).Circuit.fanins;
+    memo.(id)
+  in
+  let longest = ref 0 in
+  for id = 0 to Circuit.num_nodes c - 1 do
+    longest := max !longest (level id)
+  done;
+  check (Alcotest.option Alcotest.int) "depth agrees" (Some !longest) (View.depth v);
   check bool_t "fanouts agree" true (View.fanouts v = Circuit.fanouts c);
   check bool_t "scc agrees" true
     (View.scc v = Circuit.strongly_connected_components c);
@@ -406,6 +407,83 @@ let test_agree_on_probes_counts_unresolved () =
   let v = View.of_circuit c in
   check bool_t "unresolved disagrees" false
     (View.agree_on_probes v ~keys_a:[||] v ~keys_b:[||])
+
+(* [c] rebuilt as a physically distinct circuit with the gate at [id]
+   changed: its kind complemented, a MUX's data inputs swapped, one LUT row
+   or a constant flipped.  [id] must not be an input or key input. *)
+let mutate c id =
+  let b = Circuit.Builder.create ~name:"mutated" () in
+  let map = Circuit.copy_into b c in
+  let site = map.(id) in
+  (match Circuit.Builder.kind_of b site with
+   | Gate.Mux ->
+     let f = Circuit.Builder.fanins_of b site in
+     Circuit.Builder.set_fanins b site [| f.(0); f.(2); f.(1) |]
+   | kind ->
+     Circuit.Builder.set_kind b site
+       (match kind with
+        | Gate.Buf -> Gate.Not
+        | Gate.Not -> Gate.Buf
+        | Gate.And -> Gate.Nand
+        | Gate.Nand -> Gate.And
+        | Gate.Or -> Gate.Nor
+        | Gate.Nor -> Gate.Or
+        | Gate.Xor -> Gate.Xnor
+        | Gate.Xnor -> Gate.Xor
+        | Gate.Const v -> Gate.Const (not v)
+        | Gate.Lut tt ->
+          let tt = Array.copy tt in
+          tt.(0) <- not tt.(0);
+          Gate.Lut tt
+        | Gate.Mux | Gate.Input | Gate.Key_input -> invalid_arg "mutate"));
+  Circuit.of_builder b
+
+(* Exhaustive comparison through the interpretive reference: every input
+   vector settles in both circuits to the same outputs. *)
+let reference_agree a b ~keys =
+  let n = Circuit.num_inputs a in
+  let settled c inputs =
+    match Sim.eval_reference c ~inputs ~keys with
+    | out -> Some out
+    | exception View.Unresolved _ -> None
+  in
+  List.for_all
+    (fun v ->
+      let inputs = Sim.vector_of_int ~width:n v in
+      match settled a inputs, settled b inputs with
+      | Some x, Some y -> x = y
+      | _ -> false)
+    (List.init (1 lsl n) Fun.id)
+
+let prop_agree_on_probes_matches_reference =
+  let gen = QCheck2.Gen.(triple (int_bound 10_000) (int_bound 10_000) bool) in
+  qcheck_case ~count:80 "agree_on_probes = exhaustive reference" gen
+    (fun (seed, stim_seed, mutated) ->
+      let c =
+        if seed land 1 = 0 then acyclic_of ~seed else random_cyclic ~seed
+      in
+      let rng = Random.State.make [| stim_seed; 4 |] in
+      let keys = Sim.random_vector rng (Circuit.num_keys c) in
+      let gates =
+        List.filter
+          (fun id ->
+            match (Circuit.node c id).Circuit.kind with
+            | Gate.Input | Gate.Key_input -> false
+            | _ -> true)
+          (List.init (Circuit.num_nodes c) Fun.id)
+      in
+      let other =
+        if mutated then
+          mutate c (List.nth gates (Random.State.int rng (List.length gates)))
+        else begin
+          let b = Circuit.Builder.create ~name:"copy" () in
+          ignore (Circuit.copy_into b c);
+          Circuit.of_builder b
+        end
+      in
+      View.agree_on_probes (View.of_circuit c) ~keys_a:keys (View.of_circuit other)
+        ~keys_b:keys
+      = reference_agree c other ~keys)
 
 (* ------------------------------------------------------------------ *)
 (* Structural hash                                                     *)
@@ -560,6 +638,7 @@ let () =
       ( "probes",
         [
           Alcotest.test_case "agree_on_probes" `Quick test_agree_on_probes;
+          prop_agree_on_probes_matches_reference;
           Alcotest.test_case "unresolved probes" `Quick
             test_agree_on_probes_counts_unresolved;
         ] );
